@@ -1,6 +1,23 @@
 #include "exec/append.h"
 
 namespace ma {
+namespace {
+
+/// Gather-appends the `sel` cells of `data`, a dense array of type `t`.
+void GatherCells(PhysicalType t, const void* data, const sel_t* sel,
+                 size_t n, Column* dst) {
+  ForPhysicalType(t, [&](auto tag) {
+    using T = decltype(tag);
+    const T* src = static_cast<const T*>(data);
+    if constexpr (std::is_same_v<T, StrRef>) {
+      dst->AppendStringGather(src, sel, n);
+    } else {
+      dst->AppendGather<T>(src, sel, n);
+    }
+  });
+}
+
+}  // namespace
 
 void AppendLive(const Vector& src, const Batch& batch, Column* dst) {
   const size_t n = batch.row_count();
@@ -55,14 +72,7 @@ void AppendCell(const Column& src, size_t row, Column* dst) {
 
 void AppendGatherColumn(const Column& src, const sel_t* sel, size_t n,
                         Column* dst) {
-  ForPhysicalType(src.type(), [&](auto tag) {
-    using T = decltype(tag);
-    if constexpr (std::is_same_v<T, StrRef>) {
-      dst->AppendStringGather(src.Data<StrRef>(), sel, n);
-    } else {
-      dst->AppendGather<T>(src.Data<T>(), sel, n);
-    }
-  });
+  GatherCells(src.type(), src.RawData(), sel, n, dst);
 }
 
 void AppendDefault(Column* dst) {
@@ -94,15 +104,9 @@ u64 ApproxBatchBytes(const Batch& batch) {
   return bytes;
 }
 
-void AppendVectorCell(const Vector& src, size_t row, Column* dst) {
-  ForPhysicalType(src.type(), [&](auto tag) {
-    using T = decltype(tag);
-    if constexpr (std::is_same_v<T, StrRef>) {
-      dst->AppendString(src.Data<StrRef>()[row].view());
-    } else {
-      dst->Append<T>(src.Data<T>()[row]);
-    }
-  });
+void AppendGatherVector(const Vector& src, const sel_t* sel, size_t n,
+                        Column* dst) {
+  GatherCells(src.type(), src.raw_data(), sel, n, dst);
 }
 
 }  // namespace ma

@@ -60,8 +60,10 @@ void AppendGatherColumn(const Column& src, const sel_t* sel, size_t n,
 /// outer hash join's miss-payload row.
 void AppendDefault(Column* dst);
 
-/// Copies one cell of a vector to the end of `dst`.
-void AppendVectorCell(const Vector& src, size_t row, Column* dst);
+/// Gather-appends `n` cells of a vector (at the `sel` positions) to
+/// `dst`, with the same bulk moves as AppendGatherColumn.
+void AppendGatherVector(const Vector& src, const sel_t* sel, size_t n,
+                        Column* dst);
 
 /// Approximate bytes needed to materialize the live rows of `batch`:
 /// fixed-width columns at TypeWidth, string columns at StrRef plus

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "exec/agg_merge.h"
 #include "prim/aggr_kernels.h"
 
 namespace ma {
@@ -75,12 +76,8 @@ Status HashAggOperator::Open() {
   ResizeAccumulators();
   emit_order_.clear();
   if (emit_key_sorted_ && !group_keys_.empty() && table_.num_groups() > 1) {
-    emit_order_.resize(table_.num_groups());
-    for (u32 g = 0; g < table_.num_groups(); ++g) emit_order_[g] = g;
-    std::sort(emit_order_.begin(), emit_order_.end(),
-              [this](u32 a, u32 b) {
-                return table_.KeyOfGroup(a) < table_.KeyOfGroup(b);
-              });
+    // The one-partial case of the parallel merge's key partitioning.
+    KeyPartitions::KeySortedGids(table_, &emit_order_);
   }
   return Status::OK();
 }
@@ -170,8 +167,9 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
     }
     insertcheck_->Call(c);
 
-    // Record first-seen group-output values for new groups.
-    if (!group_output_names_.empty()) {
+    // Record first-seen group-output values for new groups: their rows,
+    // in row order, then one gather per column.
+    if (!group_output_names_.empty() && table_.num_groups() > groups_before) {
       if (group_out_cols_.empty()) {
         for (const std::string& name : group_output_names_) {
           const int idx = batch.FindColumn(name);
@@ -180,20 +178,24 @@ void HashAggOperator::ConsumeBatch(Batch& batch) {
               std::make_unique<Column>(batch.column(idx).type()));
         }
       }
+      new_rows_.clear();
       u32 stored = groups_before;
       auto capture = [&](sel_t i) {
         if (gid_scratch_[i] < stored) return;
         MA_CHECK(gid_scratch_[i] == stored);
-        for (size_t g = 0; g < group_output_names_.size(); ++g) {
-          const int idx = batch.FindColumn(group_output_names_[g]);
-          AppendVectorCell(batch.column(idx), i, group_out_cols_[g].get());
-        }
+        new_rows_.push_back(i);
         ++stored;
       };
       if (sel != nullptr) {
         for (size_t j = 0; j < live; ++j) capture(sel[j]);
       } else {
         for (size_t i = 0; i < n; ++i) capture(static_cast<sel_t>(i));
+      }
+      for (size_t g = 0; g < group_output_names_.size(); ++g) {
+        const int idx = batch.FindColumn(group_output_names_[g]);
+        MA_CHECK(idx >= 0);
+        AppendGatherVector(batch.column(idx), new_rows_.data(),
+                           new_rows_.size(), group_out_cols_[g].get());
       }
     }
   }

@@ -73,8 +73,8 @@ class HashAggOperator : public Operator {
   /// Emit groups in ascending packed-key order instead of first-seen
   /// order. The plan compiler sets this on serially-compiled GroupBy
   /// nodes so a plan's result row order matches the parallel merge
-  /// (which unions per-worker groups by sorted key) even without a
-  /// Sort above the aggregation. Call before Open().
+  /// (which emits groups in packed-key order) even without a Sort above
+  /// the aggregation. Call before Open().
   void set_emit_key_sorted(bool sorted) { emit_key_sorted_ = sorted; }
 
   /// Read-only view of the pre-aggregation state once Open() has
@@ -147,6 +147,8 @@ class HashAggOperator : public Operator {
   /// Scratch: packed keys and group ids for the current vector.
   std::vector<i64> key_scratch_;
   std::vector<u32> gid_scratch_;
+  /// Scratch: rows of the current vector that opened a new group.
+  std::vector<sel_t> new_rows_;
   u32 emit_pos_ = 0;
   /// Aggregation-state bytes already charged to the query context.
   u64 charged_bytes_ = 0;

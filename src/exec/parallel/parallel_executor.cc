@@ -1,12 +1,13 @@
 #include "exec/parallel/parallel_executor.h"
 
 #include <algorithm>
-#include <limits>
+#include <atomic>
+#include <functional>
 #include <thread>
 
 #include "common/cycleclock.h"
+#include "exec/agg_merge.h"
 #include "exec/append.h"
-#include "prim/aggr_kernels.h"
 #include "prim/bloom.h"
 
 namespace ma {
@@ -345,186 +346,77 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     return result;
   }
 
-  // --- Merge the thread-local partials -------------------------------
+  // --- Two-phase merge of the thread-local partials (agg_merge.h) ----
   // Workers past the hinted count never built an operator; skip them.
   std::vector<HashAggOperator::Partial> parts;
+  std::vector<const GroupTable*> tables;
   for (const auto& agg : aggs) {
-    if (agg != nullptr) parts.push_back(agg->partial());
+    if (agg == nullptr) continue;
+    parts.push_back(agg->partial());
+    tables.push_back(parts.back().groups);
   }
-
-  // Union of group keys, emitted in packed-key order so the output is
-  // independent of which worker saw which group first.
-  std::vector<i64> keys;
-  const bool grouped = !plan.group_keys.empty();
-  if (grouped) {
-    for (const auto& part : parts) {
-      for (u32 g = 0; g < part.groups->num_groups(); ++g) {
-        keys.push_back(part.groups->KeyOfGroup(g));
+  const PartialMerger merger(std::move(parts), plan.group_outputs);
+  KeyPartitions partitions(std::move(tables), workers);
+  const size_t num_parts = partitions.num_partitions();
+  // Runs task(i, worker) for every i < n, each claimed by the next free
+  // worker; inline when one partition (or one worker) leaves nothing to
+  // spread. Stops claiming once the query must unwind.
+  auto run_tasks = [&](size_t n,
+                       const std::function<void(size_t, int)>& task) {
+    std::atomic<size_t> next{0};
+    auto drain = [&](int w) {
+      for (size_t i; (i = next.fetch_add(1)) < n;) {
+        if (ctx->ShouldStop()) return;
+        task(i, w);
       }
+    };
+    if (workers == 1 || num_parts <= 1) {
+      drain(0);
+      return;
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  } else {
-    keys.push_back(0);  // the single global group
-  }
-
-  RunResult result;
-  result.table = std::make_unique<Table>("result");
-
-  // Group outputs: first-seen row values, taken from the first worker
-  // (in id order) holding the group. These columns are functionally
-  // dependent on the group key in every query here, so any worker's
-  // copy is the same value. The owner of each key is computed once (not
-  // per column), and consecutive keys owned by the same worker merge as
-  // one bulk gather per run — string payloads move as one contiguous
-  // heap block instead of one heap interaction per row.
-  struct GroupOwner {
-    u32 part = 0;
-    sel_t gid = 0;
+    Status s = pool_->Run([&](int w) {
+      if (w < workers) drain(w);
+    }, task_tag_);
+    if (!s.ok()) ctx->Fail(std::move(s));
   };
-  std::vector<GroupOwner> owners;
-  if (!plan.group_outputs.empty()) {
-    owners.reserve(keys.size());
-    for (const i64 key : keys) {
-      GroupOwner o;
-      bool found = false;
-      for (u32 p = 0; p < parts.size(); ++p) {
-        if (parts[p].group_out_cols->empty()) continue;
-        const i64 gid = parts[p].groups->Find(key);
-        if (gid < 0) continue;
-        o.part = p;
-        o.gid = static_cast<sel_t>(gid);
-        found = true;
-        break;
-      }
-      MA_CHECK(found);  // keys is the union of all workers' groups
-      owners.push_back(o);
-    }
-  }
-  std::vector<sel_t> run;
-  for (size_t g = 0; g < plan.group_outputs.size(); ++g) {
-    PhysicalType type = PhysicalType::kI64;
-    for (const auto& part : parts) {
-      if (g < part.group_out_cols->size()) {
-        type = (*part.group_out_cols)[g]->type();
-        break;
-      }
-    }
-    Column* dst = result.table->AddColumn(plan.group_outputs[g], type);
-    for (size_t i = 0; i < owners.size();) {
-      const u32 p = owners[i].part;
-      run.clear();
-      size_t j = i;
-      for (; j < owners.size() && owners[j].part == p; ++j) {
-        run.push_back(owners[j].gid);
-      }
-      const auto& cols = *parts[p].group_out_cols;
-      MA_CHECK(g < cols.size());
-      AppendGatherColumn(*cols[g], run.data(), run.size(), dst);
-      i = j;
-    }
-  }
 
-  for (size_t a = 0; a < plan.aggs.size(); ++a) {
-    const std::string& fn = plan.aggs[a].fn;
-    const std::string& out_name = plan.aggs[a].out_name;
-    // Accumulator type: trust a partial that inferred it from real
-    // input over one that fell back to the type_hint — a worker starved
-    // by stealing drains nothing and its hint may disagree with what
-    // the busy workers saw. A hint-typed partial holds no data, so
-    // skipping its (differently-typed) accumulators in the fold below
-    // loses nothing.
-    bool is_float = parts.empty() ? false : parts[0].aggs[a].is_float;
-    bool exact = parts.empty() ? false : parts[0].aggs[a].exact;
-    for (const auto& part : parts) {
-      if (part.aggs[a].typed_from_data) {
-        is_float = part.aggs[a].is_float;
-        exact = part.aggs[a].exact;
-        break;
-      }
-    }
-    // Per-key fold over the partials in worker order. Exact (fixed-
-    // point) f64 sums fold in i128 — integer adds, so the total is
-    // independent of worker count and row distribution; the single
-    // rounding to f64 happens at emit below.
-    using CombineI = i64 (*)(i64, i64);
-    using CombineF = f64 (*)(f64, f64);
-    struct Folded {
-      f64 f;
-      i64 i;
-      i128 fx;
-      i64 count;
-    };
-    auto fold = [&](i64 key, i64 init_i, f64 init_f, CombineI ci,
-                    CombineF cf) -> Folded {
-      Folded r{init_f, init_i, 0, 0};
-      for (const auto& part : parts) {
-        const i64 gid = grouped ? part.groups->Find(key)
-                                : (part.groups->num_groups() > 0 ? 0 : -1);
-        if (gid < 0) continue;
-        const auto& pa = part.aggs[a];
-        const size_t g = static_cast<size_t>(gid);
-        if (exact) {
-          if (g < pa.acc_fx->size()) r.fx += (*pa.acc_fx)[g];
-        } else if (is_float) {
-          if (g < pa.acc_f->size()) r.f = cf(r.f, (*pa.acc_f)[g]);
-        } else {
-          if (g < pa.acc_i->size()) r.i = ci(r.i, (*pa.acc_i)[g]);
-        }
-        if (pa.count != nullptr && g < pa.count->size()) {
-          r.count += (*pa.count)[g];
-        }
-      }
-      return r;
-    };
-
-    const CombineI add_i = +[](i64 x, i64 y) { return x + y; };
-    const CombineF add_f = +[](f64 x, f64 y) { return x + y; };
-    const CombineI min_i = +[](i64 x, i64 y) { return std::min(x, y); };
-    const CombineF min_f = +[](f64 x, f64 y) { return std::min(x, y); };
-    const CombineI max_i = +[](i64 x, i64 y) { return std::max(x, y); };
-    const CombineF max_f = +[](f64 x, f64 y) { return std::max(x, y); };
-
-    if (fn == "avg") {
-      Column* dst = result.table->AddColumn(out_name, PhysicalType::kF64);
-      for (const i64 key : keys) {
-        const Folded r = fold(key, 0, 0.0, add_i, add_f);
-        const f64 sum = exact ? FixToF64(r.fx)
-                              : (is_float ? r.f : static_cast<f64>(r.i));
-        dst->Append<f64>(r.count == 0 ? 0.0 : sum / r.count);
-      }
-    } else if (fn == "min" || fn == "max") {
-      const bool is_min = fn == "min";
-      Column* dst = result.table->AddColumn(
-          out_name, is_float ? PhysicalType::kF64 : PhysicalType::kI64);
-      const i64 init_i = is_min ? std::numeric_limits<i64>::max()
-                                : std::numeric_limits<i64>::min();
-      const f64 init_f = is_min ? std::numeric_limits<f64>::infinity()
-                                : -std::numeric_limits<f64>::infinity();
-      for (const i64 key : keys) {
-        const Folded r = fold(key, init_i, init_f, is_min ? min_i : max_i,
-                              is_min ? min_f : max_f);
-        if (is_float) {
-          dst->Append<f64>(r.f);
-        } else {
-          dst->Append<i64>(r.i);
-        }
-      }
-    } else {  // sum, count
-      Column* dst = result.table->AddColumn(
-          out_name, is_float ? PhysicalType::kF64 : PhysicalType::kI64);
-      for (const i64 key : keys) {
-        const Folded r = fold(key, 0, 0.0, add_i, add_f);
-        if (is_float) {
-          dst->Append<f64>(exact ? FixToF64(r.fx) : r.f);
-        } else {
-          dst->Append<i64>(r.i);
-        }
-      }
-    }
+  // A refused charge fails the query, and every step below then stops.
+  if (ctx->accounting_enabled()) {
+    (void)ctx->ReserveMemory("alloc/agg", partitions.buffer_bytes());
   }
-  result.table->set_row_count(keys.size());
-  result.rows_emitted = keys.size();
+  run_tasks(partitions.num_tables(),
+            [&](size_t t, int) { partitions.Count(t); });
+  partitions.Layout();
+  run_tasks(partitions.num_tables(),
+            [&](size_t t, int) { partitions.Scatter(t); });
+  std::vector<std::vector<GroupRef>> scratch(workers);
+  std::vector<size_t> row_begin(num_parts + 1, 0);
+  run_tasks(num_parts, [&](size_t p, int w) {
+    if (!ctx->MaybeInjectFault("parallel/merge").ok()) return;
+    partitions.Sort(p, &scratch[w]);
+    row_begin[p + 1] =
+        PartialMerger::CountKeys(partitions.begin(p), partitions.end(p));
+  });
+  for (size_t p = 0; p < num_parts; ++p) row_begin[p + 1] += row_begin[p];
+  // Partitions are ascending key ranges: written at consecutive row
+  // offsets, they come out in packed-key order.
+  RunResult result;
+  if (ctx->status().ok()) result.table = merger.NewTable(row_begin.back());
+  std::vector<PartialMerger::StringCells> strings(num_parts);
+  run_tasks(num_parts, [&](size_t p, int) {
+    merger.Fold(partitions.begin(p), partitions.end(p), row_begin[p],
+                result.table.get(), &strings[p]);
+  });
+  result.status = ctx->status();
+  result.reason = ReasonFromStatus(result.status);
+  if (result.status.ok()) {
+    for (const auto& cells : strings) {
+      merger.AppendStrings(cells, result.table.get());
+    }
+    result.rows_emitted = result.table->row_count();
+  } else {
+    result.table = nullptr;
+  }
 
   const u64 t_end = CycleClock::Now();
   result.stages.execute = t_exec - t0;

@@ -139,9 +139,11 @@ class ParallelExecutor {
       const PipelineFactory& factory, const HashJoinSpec& spec,
       const StageHints& hints = StageHints());
 
-  /// Thread-local pre-aggregation + merge. Each worker drains its own
-  /// HashAggOperator over the factory pipeline; partials merge into one
-  /// result table with groups emitted in packed-key order.
+  /// Two-phase aggregation. Phase 1: each worker drains its own
+  /// HashAggOperator over the factory pipeline (thread-local
+  /// pre-aggregation). Phase 2: the partials' groups are scattered into
+  /// key-range partitions that the workers claim, sort and fold one at
+  /// a time (agg_merge.h); groups come out in packed-key order.
   /// `group_outputs` must be functionally dependent on the group keys
   /// (the usual dictionary-decode companions): each worker records its
   /// own first-seen value per group and the merge takes any worker's

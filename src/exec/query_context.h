@@ -62,6 +62,7 @@ TerminationReason ReasonFromStatus(const Status& s);
 ///   parallel/morsel                      every morsel claim
 ///   parallel/pipeline, parallel/build,
 ///   parallel/agg                         worker phase entry
+///   parallel/merge                       each aggregation-merge partition
 ///   alloc/result, alloc/agg, alloc/build,
 ///   alloc/sort, alloc/merge, alloc/pipeline   memory-reservation sites
 ///   stage/<id>                           staged-executor stage entry

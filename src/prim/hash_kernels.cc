@@ -5,29 +5,68 @@
 namespace ma {
 namespace hash_detail {
 
+namespace {
+
+/// Linear probe from home bucket `b`: the gid of `key`, inserting it as
+/// a new group when absent.
+inline u32 FindOrAppend(GroupTable* table, const GroupTable::Slots& s,
+                        i64 key, u64 b) {
+  for (;;) {
+    const u32 gid = s.gids[b];
+    if (gid == GroupTable::kEmpty) {
+      const u32 fresh = table->AppendGroup(key);
+      s.keys[b] = key;
+      s.gids[b] = fresh;
+      return fresh;
+    }
+    if (s.keys[b] == key) return gid;
+    b = (b + 1) & s.mask;
+  }
+}
+
+/// Rows the prefetch flavor hashes ahead of its probe.
+constexpr size_t kPrefetchDistance = 16;
+
+/// Hashes kPrefetchDistance rows ahead and prefetches those home slots;
+/// the find-or-append loop itself stays sequential, so gids come out
+/// exactly as the default flavor assigns them.
+template <bool SEL>
+size_t InsertCheckPrefetchImpl(const PrimCall& c) {
+  const i64* keys = static_cast<const i64*>(c.in1);
+  u32* out = static_cast<u32*>(c.res);
+  auto* table = static_cast<GroupTable*>(c.state);
+  const GroupTable::Slots s = table->slots();
+  const size_t n = SEL ? c.sel_n : c.n;
+  auto row = [&](size_t j) -> sel_t {
+    if constexpr (SEL) return c.sel[j];
+    return static_cast<sel_t>(j);
+  };
+  u64 home[kPrefetchDistance] = {};
+  auto ahead = [&](size_t j) {
+    const u64 b = HashKey(keys[row(j)]) & s.mask;
+    home[j % kPrefetchDistance] = b;
+    __builtin_prefetch(&s.gids[b], 1);
+    __builtin_prefetch(&s.keys[b], 1);
+  };
+  for (size_t j = 0; j < n && j < kPrefetchDistance; ++j) ahead(j);
+  for (size_t j = 0; j < n; ++j) {
+    const u64 b = home[j % kPrefetchDistance];
+    if (j + kPrefetchDistance < n) ahead(j + kPrefetchDistance);
+    const sel_t i = row(j);
+    out[i] = FindOrAppend(table, s, keys[i], b);
+  }
+  return n;
+}
+
+}  // namespace
+
 size_t InsertCheck(const PrimCall& c) {
   const i64* keys = static_cast<const i64*>(c.in1);
   u32* out = static_cast<u32*>(c.res);
   auto* table = static_cast<GroupTable*>(c.state);
-  GroupTable::Slots s = table->slots();
+  const GroupTable::Slots s = table->slots();
   auto one = [&](sel_t i) {
-    const i64 key = keys[i];
-    u64 b = HashKey(key) & s.mask;
-    for (;;) {
-      const u32 gid = s.gids[b];
-      if (gid == GroupTable::kEmpty) {
-        const u32 fresh = table->AppendGroup(key);
-        s.keys[b] = key;
-        s.gids[b] = fresh;
-        out[i] = fresh;
-        return;
-      }
-      if (s.keys[b] == key) {
-        out[i] = gid;
-        return;
-      }
-      b = (b + 1) & s.mask;
-    }
+    out[i] = FindOrAppend(table, s, keys[i], HashKey(keys[i]) & s.mask);
   };
   if (c.sel != nullptr) {
     for (size_t j = 0; j < c.sel_n; ++j) one(c.sel[j]);
@@ -35,6 +74,11 @@ size_t InsertCheck(const PrimCall& c) {
   }
   for (size_t i = 0; i < c.n; ++i) one(static_cast<sel_t>(i));
   return c.n;
+}
+
+size_t InsertCheckPrefetch(const PrimCall& c) {
+  return c.sel != nullptr ? InsertCheckPrefetchImpl<true>(c)
+                          : InsertCheckPrefetchImpl<false>(c);
 }
 
 size_t Probe(const PrimCall& c) {
@@ -95,6 +139,10 @@ void RegisterHashKernels(PrimitiveDictionary* dict) {
                           FlavorInfo{"default", FlavorSetId::kDefault,
                                      &InsertCheck},
                           /*is_default=*/true)
+               .ok());
+  MA_CHECK(dict->Register("ht_insertcheck_i64_col",
+                          FlavorInfo{"prefetch", FlavorSetId::kFission,
+                                     &InsertCheckPrefetch})
                .ok());
   MA_CHECK(dict->Register("ht_probe_i64_col",
                           FlavorInfo{"default", FlavorSetId::kDefault,

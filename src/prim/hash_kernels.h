@@ -3,7 +3,8 @@
 //  * ht_insertcheck_i64_col:  res (u32) = dense group id, inserting new
 //                             keys (state = GroupTable). This is the
 //                             analogue of the paper's
-//                             hash_insertcheck_str_col in Fig. 4(e).
+//                             hash_insertcheck_str_col in Fig. 4(e);
+//                             flavors: default, prefetch (kFission).
 //  * ht_probe_i64_col:        emits (probe position, build row) match
 //                             pairs (state = ProbeState), resumable.
 #ifndef MA_PRIM_HASH_KERNELS_H_
@@ -49,6 +50,11 @@ size_t MapHash(const PrimCall& c) {
 /// Find-or-insert group ids for a vector of keys. The GroupTable must
 /// have room for c.n insertions (operator calls EnsureRoom).
 size_t InsertCheck(const PrimCall& c);
+
+/// The same, hashing a fixed distance ahead and prefetching each key's
+/// home slot (loop fission of hash and probe, as in the bloom-filter
+/// probe). Assigns exactly the gids InsertCheck assigns.
+size_t InsertCheckPrefetch(const PrimCall& c);
 
 /// Probe a JoinHashTable, emitting match pairs until the probe vector or
 /// the output capacity is exhausted. Returns the number of matches

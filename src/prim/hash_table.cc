@@ -20,11 +20,19 @@ void GroupTable::EnsureRoom(size_t n) {
 }
 
 void GroupTable::Rehash(size_t new_buckets) {
-  slot_keys_.assign(new_buckets, 0);
-  slot_gids_.assign(new_buckets, kEmpty);
+  std::vector<i64> old_keys(new_buckets, 0);
+  std::vector<u32> old_gids(new_buckets, kEmpty);
+  old_keys.swap(slot_keys_);
+  old_gids.swap(slot_gids_);
   mask_ = new_buckets - 1;
-  for (u32 gid = 0; gid < keys_by_gid_.size(); ++gid) {
-    const i64 key = keys_by_gid_[gid];
+  // Re-insert in old slot order, not gid order: old home buckets ascend,
+  // so after a doubling the new home buckets ascend too and the writes
+  // stream through the new arrays instead of missing cache per key.
+  // Gids are carried over unchanged.
+  for (size_t s = 0; s < old_gids.size(); ++s) {
+    const u32 gid = old_gids[s];
+    if (gid == kEmpty) continue;
+    const i64 key = old_keys[s];
     u64 b = HashKey(key) & mask_;
     while (slot_gids_[b] != kEmpty) b = (b + 1) & mask_;
     slot_keys_[b] = key;
@@ -59,6 +67,8 @@ void GroupTable::Clear() {
   slot_gids_.assign(slot_gids_.size(), kEmpty);
   used_ = 0;
   keys_by_gid_.clear();
+  min_key_ = std::numeric_limits<i64>::max();
+  max_key_ = std::numeric_limits<i64>::min();
 }
 
 void JoinHashTable::Append(const i64* keys, size_t n, const sel_t* sel,

@@ -47,6 +47,10 @@ class GroupTable {
   /// Key that was assigned group id `gid`.
   i64 KeyOfGroup(u32 gid) const { return keys_by_gid_[gid]; }
 
+  /// Smallest and largest key held (meaningless while empty).
+  i64 min_key() const { return min_key_; }
+  i64 max_key() const { return max_key_; }
+
   /// Scalar find-or-insert (kernels inline their own loop over this
   /// logic; this one is for operators and tests).
   u32 FindOrInsert(i64 key);
@@ -71,6 +75,8 @@ class GroupTable {
   /// empty slot. Returns the new gid.
   u32 AppendGroup(i64 key) {
     keys_by_gid_.push_back(key);
+    min_key_ = key < min_key_ ? key : min_key_;
+    max_key_ = key > max_key_ ? key : max_key_;
     ++used_;
     return static_cast<u32>(keys_by_gid_.size() - 1);
   }
@@ -83,6 +89,8 @@ class GroupTable {
   u64 mask_ = 0;
   size_t used_ = 0;
   std::vector<i64> keys_by_gid_;
+  i64 min_key_ = std::numeric_limits<i64>::max();
+  i64 max_key_ = std::numeric_limits<i64>::min();
 };
 
 /// JoinHashTable: chaining hash table for hash joins. Build phase appends

@@ -23,7 +23,7 @@ enum class FlavorSetId : u8 {
   kDefault = 0,   // the single canonical implementation
   kBranch,        // branching vs no-branching selections (§1, §2)
   kCompiler,      // different build environments (§2 "Compiler Variation")
-  kFission,       // loop fission in bloom-filter probe (§2)
+  kFission,       // loop fission: bloom probe, hash insert-check (§2)
   kFullCompute,   // full vs selective computation (§2)
   kUnroll,        // hand loop unrolling (§2)
   kSimd,          // explicit AVX2/SSE4 kernels, runtime CPUID-detected

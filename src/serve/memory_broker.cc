@@ -75,6 +75,11 @@ u64 MemoryBroker::grants() const {
   return grants_;
 }
 
+u64 MemoryBroker::tickets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return next_ticket_;
+}
+
 u64 MemoryBroker::refusals() const {
   std::lock_guard<std::mutex> lock(mu_);
   return refusals_;

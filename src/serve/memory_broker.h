@@ -58,6 +58,9 @@ class MemoryBroker {
   /// Leases granted / refused so far.
   u64 grants() const;
   u64 refusals() const;
+  /// Queue tickets handed out so far: one per pooled Acquire that got
+  /// past the size check, whether granted, waiting or timed out.
+  u64 tickets() const;
 
  private:
   /// Advances serving_ past tickets that timed out mid-queue.

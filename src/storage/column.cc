@@ -43,4 +43,28 @@ void Column::Reserve(size_t n) {
   }
 }
 
+void Column::Resize(size_t n) {
+  switch (type_) {
+    case PhysicalType::kI8:
+      i8s_.resize(n);
+      break;
+    case PhysicalType::kI16:
+      i16s_.resize(n);
+      break;
+    case PhysicalType::kI32:
+      i32s_.resize(n);
+      break;
+    case PhysicalType::kI64:
+      i64s_.resize(n);
+      break;
+    case PhysicalType::kF64:
+      f64s_.resize(n);
+      break;
+    case PhysicalType::kStr:
+      MA_CHECK(false);  // string cells live in the heap; append them
+      break;
+  }
+  size_ = n;
+}
+
 }  // namespace ma

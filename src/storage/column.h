@@ -69,6 +69,13 @@ class Column {
     return const_cast<Column*>(this)->Storage<T>().data();
   }
 
+  /// Writable cells, for filling a column sized by Resize().
+  template <typename T>
+  T* MutableData() {
+    MA_CHECK(TypeTag<T>::value == type_);
+    return Storage<T>().data();
+  }
+
   const void* RawData() const;
 
   template <typename T>
@@ -78,6 +85,11 @@ class Column {
   }
 
   void Reserve(size_t n);
+
+  /// Sizes a fixed-width column to `n` cells, new ones zero. Callers
+  /// then fill disjoint cell ranges through MutableData(), possibly from
+  /// several threads at once.
+  void Resize(size_t n);
 
  private:
   template <typename T>

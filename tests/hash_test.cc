@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -41,16 +42,29 @@ TEST(GroupTableTest, FindWithoutInsert) {
 }
 
 TEST(GroupTableTest, SurvivesGrowth) {
+  // Grows from 16 buckets through many doublings to about 1M keys; the
+  // rehash moves slots, never gids.
   GroupTable t(16);
   std::unordered_map<i64, u32> expected;
   Rng rng(4);
-  for (int i = 0; i < 100000; ++i) {
-    const i64 key = static_cast<i64>(rng.NextBounded(20000));
+  i64 min_key = std::numeric_limits<i64>::max();
+  i64 max_key = std::numeric_limits<i64>::min();
+  for (int i = 0; i < 1500000; ++i) {
+    const i64 key = static_cast<i64>(rng.NextBounded(1 << 21)) * 977;
     const u32 gid = t.FindOrInsert(key);
     auto [it, inserted] = expected.try_emplace(key, gid);
     ASSERT_EQ(it->second, gid) << "key " << key;
+    min_key = std::min(min_key, key);
+    max_key = std::max(max_key, key);
   }
+  EXPECT_GT(expected.size(), 1000000u);
   EXPECT_EQ(t.num_groups(), expected.size());
+  for (const auto& [key, gid] : expected) {
+    ASSERT_EQ(t.Find(key), static_cast<i64>(gid)) << "key " << key;
+    ASSERT_EQ(t.KeyOfGroup(gid), key);
+  }
+  EXPECT_EQ(t.min_key(), min_key);
+  EXPECT_EQ(t.max_key(), max_key);
 }
 
 TEST(GroupTableTest, ClearResets) {
@@ -88,6 +102,80 @@ TEST(InsertCheckKernelTest, MatchesScalarPath) {
           << "flavor " << flavor.name << " at " << i;
     }
   }
+}
+
+TEST(InsertCheckKernelTest, PrefetchFlavorIsRegistered) {
+  const FlavorEntry* entry =
+      PrimitiveDictionary::Global().Find("ht_insertcheck_i64_col");
+  ASSERT_NE(entry, nullptr);
+  bool found = false;
+  for (const FlavorInfo& flavor : entry->flavors) {
+    if (flavor.name == "prefetch") {
+      found = true;
+      EXPECT_EQ(flavor.set, FlavorSetId::kFission);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+/// Feeds `vectors` key vectors through every flavor, each on its own
+/// table grown between vectors as the operator grows it, and checks
+/// every gid against the scalar path. With `use_sel`, every third row
+/// is left out through a selection vector and must stay untouched.
+void ExpectInsertCheckParity(bool use_sel, size_t vectors, u64 key_range) {
+  const FlavorEntry* entry =
+      PrimitiveDictionary::Global().Find("ht_insertcheck_i64_col");
+  ASSERT_NE(entry, nullptr);
+  constexpr size_t kN = 1024;
+  constexpr u32 kUntouched = 0xdeadbeef;
+  for (const FlavorInfo& flavor : entry->flavors) {
+    GroupTable table(16);
+    GroupTable reference(16);
+    Rng rng(6);
+    std::vector<i64> keys(kN);
+    std::vector<sel_t> sel;
+    for (size_t i = 0; i < kN; ++i) {
+      if (i % 3 != 0) sel.push_back(static_cast<sel_t>(i));
+    }
+    for (size_t v = 0; v < vectors; ++v) {
+      for (auto& k : keys) k = static_cast<i64>(rng.NextBounded(key_range));
+      std::vector<u32> out(kN, kUntouched);
+      PrimCall c;
+      c.n = kN;
+      c.res = out.data();
+      c.in1 = keys.data();
+      c.state = &table;
+      if (use_sel) {
+        c.sel = sel.data();
+        c.sel_n = sel.size();
+      }
+      table.EnsureRoom(use_sel ? sel.size() : kN);
+      ASSERT_EQ(flavor.fn(c), use_sel ? sel.size() : kN);
+      for (size_t i = 0; i < kN; ++i) {
+        if (use_sel && i % 3 == 0) {
+          ASSERT_EQ(out[i], kUntouched) << flavor.name << " at " << i;
+        } else {
+          ASSERT_EQ(out[i], reference.FindOrInsert(keys[i]))
+              << flavor.name << " vector " << v << " at " << i;
+        }
+      }
+    }
+    EXPECT_EQ(table.num_groups(), reference.num_groups()) << flavor.name;
+  }
+}
+
+TEST(InsertCheckKernelTest, FlavorsAgreeWithoutSelection) {
+  ExpectInsertCheckParity(/*use_sel=*/false, 4, 300);
+}
+
+TEST(InsertCheckKernelTest, FlavorsAgreeWithSelection) {
+  ExpectInsertCheckParity(/*use_sel=*/true, 4, 300);
+}
+
+TEST(InsertCheckKernelTest, FlavorsAgreeAcrossTableGrowth) {
+  // Mostly-new keys: the table doubles many times between vectors.
+  ExpectInsertCheckParity(/*use_sel=*/false, 200, u64{1} << 40);
+  ExpectInsertCheckParity(/*use_sel=*/true, 200, u64{1} << 40);
 }
 
 TEST(InsertCheckKernelTest, HonorsSelectionVector) {

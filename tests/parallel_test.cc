@@ -463,6 +463,291 @@ TEST(ParallelAggTest, WorkerThatDrainsNothingCannotPoisonMergedType) {
 }
 
 // ---------------------------------------------------------------------
+// The two-phase partitioned merge (exec/agg_merge.h): RunAgg at 1-4
+// workers must emit exactly the bytes of a serial key-sorted
+// HashAggOperator over the same pipeline.
+// ---------------------------------------------------------------------
+
+HashAggOperator::AggSpec MakeAgg(const char* fn, ExprPtr arg,
+                                 const char* out, bool exact = false,
+                                 PhysicalType hint = PhysicalType::kF64) {
+  HashAggOperator::AggSpec s;
+  s.fn = fn;
+  s.arg = std::move(arg);
+  s.out_name = out;
+  s.exact_f64_sum = exact;
+  s.type_hint = hint;
+  return s;
+}
+
+ParallelExecutor::PipelineFactory IdentityFactory() {
+  return [](Engine*, OperatorPtr scan) { return scan; };
+}
+
+/// The serial reference: `factory` over a plain scan, then a
+/// key-sorted HashAggOperator.
+std::unique_ptr<Table> SerialKeySortedAgg(
+    const Table& table, const std::vector<std::string>& columns,
+    const ParallelExecutor::PipelineFactory& factory,
+    const ParallelExecutor::AggPlan& plan) {
+  Engine engine{EngineConfig()};
+  OperatorPtr child =
+      factory(&engine, std::make_unique<ScanOperator>(&engine, &table,
+                                                      columns));
+  std::vector<HashAggOperator::AggSpec> specs;
+  for (const auto& a : plan.aggs) specs.push_back(a.Clone());
+  HashAggOperator agg(&engine, std::move(child), plan.group_keys,
+                      plan.group_outputs, std::move(specs), "ref/agg");
+  agg.set_emit_key_sorted(true);
+  RunResult r = engine.Run(agg);
+  EXPECT_TRUE(r.ok()) << r.status.ToString();
+  return std::move(r.table);
+}
+
+/// RunAgg at 1, 2, 3 and 4 workers against the serial reference.
+/// Returns the merged row count.
+size_t ExpectRunAggMatchesSerial(
+    const Table& table, const std::vector<std::string>& columns,
+    const ParallelExecutor::AggPlan& plan,
+    const ParallelExecutor::PipelineFactory& factory = IdentityFactory(),
+    ParallelConfig pcfg = ParallelConfig()) {
+  const std::unique_ptr<Table> ref =
+      SerialKeySortedAgg(table, columns, factory, plan);
+  size_t rows = 0;
+  for (int threads = 1; threads <= 4; ++threads) {
+    pcfg.num_threads = threads;
+    ParallelExecutor exec{EngineConfig(), pcfg};
+    const RunResult r = exec.RunAgg(&table, columns, factory, plan);
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    if (r.table == nullptr) {
+      ADD_FAILURE() << "no table at " << threads << " threads";
+      continue;
+    }
+    EXPECT_EQ(ExactFingerprint(*r.table), ExactFingerprint(*ref))
+        << threads << " threads";
+    rows = r.table->row_count();
+  }
+  return rows;
+}
+
+/// Group key `k` (declared `bits` wide) over the given values, plus a
+/// dyadic f64 measure `x` (quarters below 2^20: every sum of them is
+/// exact, so even the rounded-f64 merge is order-independent) and an
+/// i64 measure `v`.
+std::unique_ptr<Table> MakeKeyedTable(const std::vector<i64>& keys,
+                                      u64 seed) {
+  Rng rng(seed);
+  auto t = std::make_unique<Table>("keyed");
+  Column* k = t->AddColumn("k", PhysicalType::kI64);
+  Column* v = t->AddColumn("v", PhysicalType::kI64);
+  Column* x = t->AddColumn("x", PhysicalType::kF64);
+  for (const i64 key : keys) {
+    k->Append<i64>(key);
+    v->Append<i64>(static_cast<i64>(rng.NextRange(-1000, 1000)));
+    x->Append<f64>(static_cast<f64>(rng.NextRange(-4000, 4000)) / 4.0);
+  }
+  t->set_row_count(keys.size());
+  return t;
+}
+
+ParallelExecutor::AggPlan CountSumPlan(int key_bits) {
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"k", key_bits}};
+  plan.group_outputs = {"k"};
+  plan.aggs.push_back(MakeAgg("count", nullptr, "n"));
+  plan.aggs.push_back(
+      MakeAgg("sum", Col("v"), "sum_v", false, PhysicalType::kI64));
+  return plan;
+}
+
+TEST(ParallelAggMergeTest, AboutAMillionGroups) {
+  Rng rng(11);
+  std::vector<i64> keys(1 << 20);
+  for (i64& k : keys) k = static_cast<i64>(rng.Next() >> 24);  // 40 bits
+  auto t = MakeKeyedTable(keys, 12);
+  ParallelConfig pcfg;
+  pcfg.morsel_size = 64 * 1024;
+  const size_t rows =
+      ExpectRunAggMatchesSerial(*t, {"k", "v"}, CountSumPlan(40),
+                                IdentityFactory(), pcfg);
+  EXPECT_GT(rows, 1000000u);
+}
+
+TEST(ParallelAggMergeTest, EveryKeyButOneInTheFirstPartition) {
+  // One outlier stretches the key span, so all other keys share the
+  // first partition (and the partitions between stay empty).
+  std::vector<i64> keys;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (i64 k = 0; k < 40000; ++k) keys.push_back(k * 7);
+  }
+  keys.push_back(i64{1} << 40);
+  auto t = MakeKeyedTable(keys, 13);
+  EXPECT_EQ(ExpectRunAggMatchesSerial(*t, {"k", "v"}, CountSumPlan(41)),
+            40001u);
+}
+
+TEST(ParallelAggMergeTest, KeysUsingBit62) {
+  Rng rng(14);
+  auto t = std::make_unique<Table>("wide");
+  Column* hi = t->AddColumn("hi", PhysicalType::kI64);
+  Column* lo = t->AddColumn("lo", PhysicalType::kI64);
+  Column* v = t->AddColumn("v", PhysicalType::kI64);
+  constexpr size_t kRows = 60000;
+  for (size_t i = 0; i < kRows; ++i) {
+    // Most packed keys have bit 62 set; a few sit near zero.
+    const i64 h = i % 10 == 0 ? static_cast<i64>(rng.NextBounded(4))
+                              : (i64{1} << 30) +
+                                    static_cast<i64>(rng.NextBounded(1 << 29));
+    hi->Append<i64>(h);
+    lo->Append<i64>(static_cast<i64>(rng.NextBounded(u64{1} << 32)));
+    v->Append<i64>(static_cast<i64>(i % 97));
+  }
+  t->set_row_count(kRows);
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"hi", 31}, {"lo", 32}};
+  plan.group_outputs = {"hi", "lo"};
+  plan.aggs.push_back(
+      MakeAgg("max", Col("v"), "max_v", false, PhysicalType::kI64));
+  plan.aggs.push_back(MakeAgg("count", nullptr, "n"));
+  EXPECT_GT(ExpectRunAggMatchesSerial(*t, {"hi", "lo", "v"}, plan), 50000u);
+}
+
+TEST(ParallelAggMergeTest, GroupedAggregateOverEmptyInput) {
+  auto t = MakeKeyedTable({}, 15);
+  ParallelExecutor::AggPlan plan = CountSumPlan(8);
+  plan.aggs.push_back(MakeAgg("avg", Col("x"), "avg_x", true));
+  u64 expect = 0;
+  for (int threads = 1; threads <= 4; ++threads) {
+    ParallelConfig pcfg;
+    pcfg.num_threads = threads;
+    ParallelExecutor exec{EngineConfig(), pcfg};
+    const RunResult r =
+        exec.RunAgg(t.get(), {"k", "v", "x"}, IdentityFactory(), plan);
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    ASSERT_NE(r.table, nullptr);
+    EXPECT_EQ(r.table->row_count(), 0u);
+    ASSERT_EQ(r.table->num_columns(), 4u);
+    EXPECT_EQ(r.table->column_name(0), "k");
+    EXPECT_EQ(r.table->column(3)->type(), PhysicalType::kF64);
+    if (threads == 1) expect = ExactFingerprint(*r.table);
+    EXPECT_EQ(ExactFingerprint(*r.table), expect) << threads;
+  }
+  EXPECT_EQ(SerialKeySortedAgg(*t, {"k", "v", "x"}, IdentityFactory(), plan)
+                ->row_count(),
+            0u);
+}
+
+/// Every aggregate shape the merge folds: avg, min, max, count, exact
+/// and rounded f64 sums, integer sums.
+std::vector<HashAggOperator::AggSpec> EveryAggregate() {
+  std::vector<HashAggOperator::AggSpec> aggs;
+  aggs.push_back(MakeAgg("sum", Col("x"), "sum_x_exact", true));
+  aggs.push_back(MakeAgg("sum", Col("x"), "sum_x"));
+  aggs.push_back(MakeAgg("avg", Col("x"), "avg_x_exact", true));
+  aggs.push_back(MakeAgg("avg", Col("x"), "avg_x"));
+  aggs.push_back(
+      MakeAgg("avg", Col("v"), "avg_v", false, PhysicalType::kI64));
+  aggs.push_back(MakeAgg("min", Col("x"), "min_x"));
+  aggs.push_back(MakeAgg("max", Col("x"), "max_x"));
+  aggs.push_back(
+      MakeAgg("min", Col("v"), "min_v", false, PhysicalType::kI64));
+  aggs.push_back(
+      MakeAgg("max", Col("v"), "max_v", false, PhysicalType::kI64));
+  aggs.push_back(
+      MakeAgg("sum", Col("v"), "sum_v", false, PhysicalType::kI64));
+  aggs.push_back(MakeAgg("count", nullptr, "n"));
+  return aggs;
+}
+
+TEST(ParallelAggMergeTest, GlobalAggregateOfEveryKind) {
+  std::vector<i64> keys(50000, 0);
+  auto t = MakeKeyedTable(keys, 16);
+  ParallelExecutor::AggPlan plan;
+  plan.aggs = EveryAggregate();
+  ParallelConfig pcfg;
+  pcfg.morsel_size = 2048;
+  EXPECT_EQ(ExpectRunAggMatchesSerial(*t, {"v", "x"}, plan,
+                                      IdentityFactory(), pcfg),
+            1u);
+}
+
+TEST(ParallelAggMergeTest, GroupedAggregatesOfEveryKind) {
+  Rng rng(17);
+  std::vector<i64> keys(120000);
+  for (i64& k : keys) k = static_cast<i64>(rng.NextBounded(30000));
+  auto t = MakeKeyedTable(keys, 18);
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"k", 16}};
+  plan.group_outputs = {"k"};
+  plan.aggs = EveryAggregate();
+  ParallelConfig pcfg;
+  pcfg.morsel_size = 2048;
+  EXPECT_GT(ExpectRunAggMatchesSerial(*t, {"k", "v", "x"}, plan,
+                                      IdentityFactory(), pcfg),
+            25000u);
+}
+
+TEST(ParallelAggMergeTest, StringGroupOutputs) {
+  Rng rng(19);
+  constexpr size_t kRows = 100000;
+  auto t = std::make_unique<Table>("named");
+  Column* g = t->AddColumn("g", PhysicalType::kI64);
+  Column* name = t->AddColumn("name", PhysicalType::kStr);
+  Column* v = t->AddColumn("v", PhysicalType::kI64);
+  for (size_t i = 0; i < kRows; ++i) {
+    const i64 gi = static_cast<i64>(rng.NextBounded(20000));
+    g->Append<i64>(gi);
+    // Functionally dependent on g, and of varying length.
+    name->AppendString("name-" + std::string(gi % 13, 'x') +
+                       std::to_string(gi));
+    v->Append<i64>(static_cast<i64>(i % 31));
+  }
+  t->set_row_count(kRows);
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"g", 15}};
+  plan.group_outputs = {"name", "g"};
+  plan.aggs.push_back(
+      MakeAgg("sum", Col("v"), "sum_v", false, PhysicalType::kI64));
+  ParallelConfig pcfg;
+  pcfg.morsel_size = 2048;
+  EXPECT_GT(ExpectRunAggMatchesSerial(*t, {"g", "name", "v"}, plan,
+                                      IdentityFactory(), pcfg),
+            15000u);
+}
+
+TEST(ParallelAggMergeTest, StarvedWorkerMatchesSerial) {
+  // The WorkerThatDrainsNothingCannotPoisonMergedType shape, grouped:
+  // worker 0's morsel is filtered out entirely, so its partial falls
+  // back to the (wrong) f64 type_hint.
+  constexpr size_t kRows = 4096;
+  auto t = std::make_unique<Table>("t");
+  Column* k = t->AddColumn("k", PhysicalType::kI64);
+  Column* v = t->AddColumn("v", PhysicalType::kI64);
+  for (size_t i = 0; i < kRows; ++i) {
+    k->Append<i64>(static_cast<i64>(i % 50));
+    v->Append<i64>(i < kRows / 2 ? 10000 : static_cast<i64>(i % 7));
+  }
+  t->set_row_count(kRows);
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"k", 8}};
+  plan.group_outputs = {"k"};
+  plan.aggs.push_back(MakeAgg("sum", Col("v"), "total"));
+  plan.aggs.push_back(MakeAgg("min", Col("v"), "least"));
+  ParallelConfig pcfg;
+  pcfg.morsel_size = kRows / 2;
+  pcfg.work_stealing = false;
+  EXPECT_EQ(ExpectRunAggMatchesSerial(
+                *t, {"k", "v"}, plan,
+                [](Engine* engine, OperatorPtr scan) -> OperatorPtr {
+                  return std::make_unique<SelectOperator>(
+                      engine, std::move(scan), Lt(Col("v"), Lit(5000)),
+                      "p/sel");
+                },
+                pcfg),
+            50u);
+}
+
+// ---------------------------------------------------------------------
 // Per-thread bandit independence.
 // ---------------------------------------------------------------------
 

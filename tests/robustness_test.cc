@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "exec/op_merge_join.h"
 #include "exec/op_scan.h"
+#include "exec/parallel/parallel_executor.h"
 #include "exec/parallel/thread_pool.h"
 #include "exec/query_context.h"
 #include "plan/compiler.h"
@@ -259,6 +260,117 @@ TEST(RobustnessTest, SeededRandomFaultsAreDeterministic) {
     return std::make_pair(r.status.code(), fi.total_hits());
   };
   EXPECT_EQ(outcome(7), outcome(7));  // same seed, same fate
+}
+
+// ---------------------------------------------------------------------
+// The partitioned aggregation merge under governance: it polls the
+// context once per partition and charges its scatter buffer to
+// "alloc/agg", so a cancel or an exhausted budget mid-merge ends the run
+// with a typed error and no table, and leaves nothing behind.
+// ---------------------------------------------------------------------
+
+/// ~150K distinct 30-bit keys: a merge of many partitions.
+std::unique_ptr<Table> MakeManyGroupsTable() {
+  Rng rng(91);
+  auto t = std::make_unique<Table>("many");
+  Column* k = t->AddColumn("k", PhysicalType::kI64);
+  Column* x = t->AddColumn("x", PhysicalType::kF64);
+  constexpr size_t kRows = 160 * 1024;
+  for (size_t i = 0; i < kRows; ++i) {
+    k->Append<i64>(static_cast<i64>(rng.NextBounded(u64{1} << 30)));
+    x->Append<f64>(static_cast<f64>(rng.NextRange(-900, 900)) / 7.0);
+  }
+  t->set_row_count(kRows);
+  return t;
+}
+
+std::vector<HashAggOperator::AggSpec> ManyGroupsAggs() {
+  std::vector<HashAggOperator::AggSpec> aggs;
+  HashAggOperator::AggSpec sum;
+  sum.fn = "sum";
+  sum.arg = Col("x");
+  sum.out_name = "sum_x";
+  sum.exact_f64_sum = true;
+  aggs.push_back(std::move(sum));
+  HashAggOperator::AggSpec count;
+  count.fn = "count";
+  count.out_name = "n";
+  aggs.push_back(std::move(count));
+  return aggs;
+}
+
+TEST(RobustnessTest, CancelMidMergeLeavesSessionClean) {
+  auto t = MakeManyGroupsTable();
+  PlanBuilder b = PlanBuilder::Scan(t.get(), {"k", "x"});
+  b.GroupBy({{"k", 30}}, {"k"}, ManyGroupsAggs());
+  const LogicalPlan plan = b.Build();
+  ASSERT_TRUE(plan.ok()) << plan.status.ToString();
+  for (const int threads : {1, 2, 4}) {
+    QuerySession session{Config(threads)};
+    QueryContext ctx;
+    // The second partition's merge sees the cancel.
+    FaultInjector fi;
+    fi.ArmFailure("parallel/merge", 2, StatusCode::kCancelled,
+                  "cancelled mid-merge");
+    ctx.set_fault_injector(&fi);
+    const RunResult r = session.Run(plan, ExecMode::kParallel, &ctx);
+    EXPECT_GE(fi.total_hits(), 2u);
+    ExpectFailedThenClean(session, r, TerminationReason::kCancelled, plan,
+                          threads, ExecMode::kParallel);
+  }
+}
+
+TEST(RobustnessTest, MergeOverBudgetFailsThenExecutorRunsClean) {
+  auto t = MakeManyGroupsTable();
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"k", 30}};
+  plan.group_outputs = {"k"};
+  plan.aggs = ManyGroupsAggs();
+  const auto identity = [](Engine*, OperatorPtr scan) { return scan; };
+  for (const int threads : {1, 2, 4}) {
+    ParallelConfig pcfg;
+    pcfg.num_threads = threads;
+    pcfg.morsel_size = 4096;
+    // Fixed morsel ownership makes every worker's groups, and so every
+    // charge, the same from run to run.
+    pcfg.work_stealing = false;
+    u64 fresh = 0;
+    {
+      ParallelExecutor exec{EngineConfig(), pcfg};
+      const RunResult r = exec.RunAgg(t.get(), {"k", "x"}, identity, plan);
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      fresh = ExactFingerprint(*r.table);
+    }
+    ParallelExecutor exec{EngineConfig(), pcfg};
+    auto run_with_budget = [&](u64 budget, QueryContext* ctx) {
+      ctx->SetMemoryBudget(budget);
+      exec.set_context(ctx);
+      RunResult r = exec.RunAgg(t.get(), {"k", "x"}, identity, plan);
+      exec.set_context(nullptr);
+      return r;
+    };
+    QueryContext measured;
+    const RunResult full = run_with_budget(u64{1} << 40, &measured);
+    ASSERT_TRUE(full.ok()) << full.status.ToString();
+    EXPECT_EQ(ExactFingerprint(*full.table), fresh);
+    // The merge's scatter buffer is the run's last charge: one byte
+    // less than the peak refuses exactly that charge.
+    const u64 peak = measured.memory_peak();
+    QueryContext tight;
+    const RunResult r = run_with_budget(peak - 1, &tight);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.reason, TerminationReason::kResourceExhausted)
+        << r.status.ToString();
+    EXPECT_EQ(r.table, nullptr);
+    QueryContext exact;
+    const RunResult at_peak = run_with_budget(peak, &exact);
+    ASSERT_TRUE(at_peak.ok()) << at_peak.status.ToString();
+    EXPECT_EQ(ExactFingerprint(*at_peak.table), fresh);
+    // Reused ungoverned afterwards: the fresh executor's bytes.
+    const RunResult clean = exec.RunAgg(t.get(), {"k", "x"}, identity, plan);
+    ASSERT_TRUE(clean.ok()) << clean.status.ToString();
+    EXPECT_EQ(ExactFingerprint(*clean.table), fresh);
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -146,7 +146,9 @@ TEST(MemoryBrokerTest, FifoFairnessBigQueryNotStarved) {
   MemoryBroker broker(1000);
   ASSERT_TRUE(broker.Acquire(800).ok());
   // A big request queues first, then a small one that WOULD fit right
-  // now. FIFO head-of-line: the small one must not overtake.
+  // now. FIFO head-of-line: the small one must not overtake. It also
+  // cannot fit beside the big lease, so it is granted only after the
+  // big one has recorded its turn and released.
   std::atomic<int> order{0};
   int big_got = -1, small_got = -1;
   std::thread big([&] {
@@ -154,14 +156,14 @@ TEST(MemoryBrokerTest, FifoFairnessBigQueryNotStarved) {
     big_got = order.fetch_add(1);
     broker.Release(900);
   });
-  // Give the big request time to take its ticket.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Wait until the big request holds its ticket (ticket 0 was the 800).
+  while (broker.tickets() < 2) std::this_thread::yield();
   std::thread small([&] {
-    ASSERT_TRUE(broker.Acquire(100, std::chrono::seconds(5)).ok());
+    ASSERT_TRUE(broker.Acquire(200, std::chrono::seconds(5)).ok());
     small_got = order.fetch_add(1);
-    broker.Release(100);
+    broker.Release(200);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (broker.tickets() < 3) std::this_thread::yield();
   broker.Release(800);  // frees the pool; big must be served first
   big.join();
   small.join();
