@@ -47,13 +47,6 @@
 //    is a hard bench failure (latency deltas are reported, not gated:
 //    they are noise-sensitive on small scale factors).
 //
-// 7. Macro-adaptivity: the plan-ported query set served with static
-//    heuristics vs bandit-selected execution strategies (per-stage
-//    thread count, bloom on/off, morsel size — adapt/strategy.h),
-//    learned cold and warm-from-disk. Strategies steer time, never
-//    bytes: any divergence from the serial baseline is the hard
-//    failure; latency deltas are reported, not gated.
-//
 // Expected: near-linear scaling up to the physical core count (>= 2.5x
 // at 4 threads on a 4+-core host); on smaller hosts the curve flattens
 // at #cores and the JSON records the host's core count so the reader
@@ -352,7 +345,6 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
     cfg.engine.adaptive.mode = ExecMode::kAdaptive;
     plan::QuerySession baseline{cfg};
     for (int q = 1; q <= 22; ++q) {
-      if (!tpch::HasPlan(q)) continue;
       query_ids.push_back(q);
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
@@ -505,7 +497,6 @@ bool RunKnowledgeSection(const tpch::TpchData& data, int cores,
     cfg.engine.adaptive.mode = ExecMode::kAdaptive;
     plan::QuerySession baseline{cfg};
     for (int q = 1; q <= 22; ++q) {
-      if (!tpch::HasPlan(q)) continue;
       query_ids.push_back(q);
       plans.push_back(tpch::PlanForQuery(data, q));
       RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
@@ -612,148 +603,6 @@ bool RunKnowledgeSection(const tpch::TpchData& data, int cores,
   }
   std::remove(store_path.c_str());
   return knowledge_clean;
-}
-
-/// Section 7: static heuristics vs macro-adaptive strategies.
-///
-/// Pass "static": KnowledgeConfig::strategies off — the kAuto row-count
-/// heuristic, the planner's bloom choice and the default morsel size
-/// rule, exactly as every earlier section ran. Pass "learned_cold":
-/// strategies on, empty store — per-stage thread count / bloom / morsel
-/// size become bandit arms rewarded by stage tuples-per-cycle, and the
-/// learned book persists on Shutdown. Pass "learned_warm_disk": a fresh
-/// server loads the strategy records from disk and starts exploiting
-/// immediately. Flavor learning, warm start and the plan cache are held
-/// constant across passes so the strategies toggle is the only
-/// variable. The hard guard is byte identity against the serial
-/// baseline — strategies steer time, never bytes; latency deltas are
-/// reported (and speedup comparison is skipped on a 1-core host).
-bool RunStrategySection(const tpch::TpchData& data, int cores,
-                        bench::BenchJson* json) {
-  std::vector<int> query_ids;
-  std::deque<plan::LogicalPlan> plans;
-  std::vector<u64> serial_fp;
-  {
-    plan::SessionConfig cfg;
-    cfg.engine.adaptive.mode = ExecMode::kAdaptive;
-    plan::QuerySession baseline{cfg};
-    for (int q = 1; q <= 22; ++q) {
-      if (!tpch::HasPlan(q)) continue;
-      query_ids.push_back(q);
-      plans.push_back(tpch::PlanForQuery(data, q));
-      RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
-      MA_CHECK(r.ok());
-      serial_fp.push_back(BitFingerprint(*r.table));
-    }
-  }
-  const std::string store_path = "BENCH_scaling_strategy_store.bin";
-  std::remove(store_path.c_str());
-  const int kRounds = ShortMode() ? 2 : 3;
-
-  auto server_config = [&] {
-    serve::ServerConfig sc;
-    sc.pool_threads = 4;
-    sc.max_concurrent = 1;  // one driver: pass latency is comparable
-    sc.max_parallel_queries = 1;
-    sc.admission.max_queue_depth = 1 << 20;
-    sc.admission.queue_deadline = std::chrono::milliseconds(0);
-    // Isolate the strategies toggle: flavor learning and warm start
-    // off, plan cache on, in every pass.
-    sc.knowledge.learn = false;
-    sc.knowledge.warm_start = false;
-    sc.knowledge.plan_cache = true;
-    return sc;
-  };
-  // Runs every ported query kRounds times; returns wall seconds, or -1
-  // on any failure/divergence (the hard guard).
-  auto run_pass = [&](serve::WorkloadServer* server) -> f64 {
-    const auto t0 = std::chrono::steady_clock::now();
-    bool clean = true;
-    for (int round = 0; round < kRounds; ++round) {
-      std::vector<serve::QueryHandle> handles;
-      handles.reserve(plans.size());
-      for (size_t i = 0; i < plans.size(); ++i) {
-        handles.push_back(server->Submit(
-            &plans[i], "sq" + std::to_string(query_ids[i])));
-      }
-      for (size_t i = 0; i < handles.size(); ++i) {
-        const serve::QueryResult& qr = handles[i].Wait();
-        clean = clean && qr.run.ok() && qr.run.table != nullptr &&
-                BitFingerprint(*qr.run.table) == serial_fp[i];
-      }
-    }
-    const f64 seconds =
-        std::chrono::duration<f64>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return clean ? seconds : -1.0;
-  };
-
-  std::printf("\n%-18s %12s %10s %10s %9s %8s %10s\n", "pass", "seconds",
-              "vs_static", "decisions", "switches", "stored", "identical");
-  bool strategy_clean = true;
-  f64 static_seconds = 0;
-  struct Pass {
-    const char* name;
-    f64 seconds;
-    serve::ServerStats stats;
-  };
-  std::vector<Pass> passes;
-  for (const char* pass : {"static", "learned_cold", "learned_warm_disk"}) {
-    serve::ServerConfig sc = server_config();
-    if (std::strcmp(pass, "static") != 0) {
-      sc.knowledge.strategies = true;
-      // learned_cold starts empty (the file was removed above) and
-      // persists its book; learned_warm_disk loads that file.
-      sc.knowledge.store_path = store_path;
-    }
-    serve::WorkloadServer server{sc};
-    if (std::strcmp(pass, "learned_warm_disk") == 0 &&
-        !server.warm_started()) {
-      strategy_clean = false;  // the cold pass failed to persist
-    }
-    const f64 seconds = run_pass(&server);
-    server.Shutdown();
-    strategy_clean = strategy_clean && seconds >= 0;
-    if (std::strcmp(pass, "static") == 0) static_seconds = seconds;
-    passes.push_back({pass, seconds, server.stats()});
-  }
-  for (const Pass& p : passes) {
-    const f64 vs_static =
-        p.seconds > 0 ? static_seconds / p.seconds : 0.0;
-    std::printf("%-18s %12.6f %9.2fx %10llu %9llu %8llu %10s\n", p.name,
-                p.seconds, vs_static,
-                static_cast<unsigned long long>(p.stats.strategy_decisions),
-                static_cast<unsigned long long>(p.stats.strategy_switches),
-                static_cast<unsigned long long>(p.stats.store_strategies),
-                p.seconds >= 0 ? "yes" : "NO");
-    json->AddRow()
-        .Str("mode", "strategy")
-        .Str("pass", p.name)
-        .Num("host_cores", cores)
-        .Num("rounds", kRounds)
-        .Num("queries_per_round", static_cast<f64>(plans.size()))
-        .Num("seconds", p.seconds)
-        .Num("speedup_vs_static", vs_static)
-        .Num("unreliable_single_core", cores <= 1 ? 1 : 0)
-        .Num("strategy_decisions",
-             static_cast<f64>(p.stats.strategy_decisions))
-        .Num("strategy_switches",
-             static_cast<f64>(p.stats.strategy_switches))
-        .Num("store_strategies", static_cast<f64>(p.stats.store_strategies))
-        .Num("identical_to_serial", p.seconds >= 0 ? 1 : 0);
-  }
-  // Latency is reported, not gated — but note a warm regression so the
-  // JSON reader doesn't have to diff by hand. Meaningless on one core,
-  // where every thread-count arm degenerates to serial.
-  if (cores > 1 && passes.size() == 3 && passes[2].seconds > 0 &&
-      static_seconds > 0 && passes[2].seconds > static_seconds) {
-    std::printf(
-        "note: learned_warm_disk (%.6fs) slower than static (%.6fs) — "
-        "reported, not gated (noise-sensitive at this scale factor)\n",
-        passes[2].seconds, static_seconds);
-  }
-  std::remove(store_path.c_str());
-  return strategy_clean;
 }
 
 int Run() {
@@ -886,19 +735,8 @@ int Run() {
       "the serial baseline — knowledge may move time, never bytes.");
   const bool knowledge_clean = RunKnowledgeSection(*data, cores, &json);
 
-  bench::PrintHeader(
-      "Macro-adaptivity: static heuristics vs learned strategies",
-      "The ported query set served per pass through one driver. static "
-      "= the kAuto heuristic, planner bloom choice and default morsel "
-      "size; learned_cold = per-stage thread count / bloom / morsel "
-      "size chosen by bandits rewarded with stage tuples-per-cycle, "
-      "book persisted on Shutdown; learned_warm_disk = a fresh server "
-      "seeding its book from that file. Strategies steer time, never "
-      "bytes — divergence from the serial baseline is the hard "
-      "failure.");
-  const bool strategy_clean = RunStrategySection(*data, cores, &json);
 
-  // The widest pool this binary drove (sections 1-7 use 1..max(8,N)).
+  // The widest pool this binary drove (sections 1-6 use 1..max(8,N)).
   json.set_pool_threads(std::max(8, cores));
   // Sections 1-5 run cold; section 6's warm passes seeded priors from
   // the knowledge store, so the file as a whole is marked warm.
@@ -934,13 +772,6 @@ int Run() {
     std::fprintf(stderr,
                  "FAIL: warm-started serving diverged from the serial "
                  "baseline or the persisted store failed to load\n");
-    return 1;
-  }
-  if (!strategy_clean) {
-    std::fprintf(stderr,
-                 "FAIL: strategy-learned serving diverged from the "
-                 "serial baseline or the strategy store failed to "
-                 "persist/load\n");
     return 1;
   }
   return 0;

@@ -21,17 +21,10 @@
 
 namespace ma {
 
-/// Morsel-size presets. kDefaultMorselRows (64 vectors at the default
-/// vector size) is the static ParallelConfig default; the small and
-/// large presets are the other two arms of the macro-adaptivity morsel
-/// decision (adapt/strategy.h, StrategyKind::kMorselSize) — small
-/// rebalances skewed pipelines faster at more queue traffic, large
-/// amortizes the queue mutex further on uniform scans. Morsel size
-/// steers scheduling only: per-morsel outputs merge in index order, so
-/// any size yields byte-identical results.
-constexpr u64 kSmallMorselRows = 16 * 1024;
+/// The static ParallelConfig morsel size: 64 vectors at the default
+/// vector size. Morsel size steers scheduling only: per-morsel outputs
+/// merge in index order, so any size yields byte-identical results.
 constexpr u64 kDefaultMorselRows = 64 * 1024;
-constexpr u64 kLargeMorselRows = 256 * 1024;
 
 /// One contiguous row range of a scan. `index` is the global position of
 /// the morsel within the table — output merged in index order is

@@ -76,11 +76,6 @@ int ParallelExecutor::ResolveWorkers(const StageHints& hints) const {
   return std::min(hints.workers, num_threads());
 }
 
-u64 ParallelExecutor::ResolveMorselSize(const StageHints& hints) const {
-  return hints.morsel_size > 0 ? hints.morsel_size
-                               : parallel_config_.morsel_size;
-}
-
 std::vector<InstanceProfile> ParallelExecutor::MergedProfile() const {
   std::vector<const PrimitiveInstance*> instances;
   for (const auto& eng : engines_) {
@@ -119,7 +114,7 @@ RunResult ParallelExecutor::RunPipelineImpl(
   ctx->MaybeInjectFault("parallel/pipeline");
 
   const int workers = ResolveWorkers(hints);
-  MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
+  MorselQueue queue(table->row_count(), parallel_config_.morsel_size, workers,
                     parallel_config_.work_stealing);
   // One output slot per morsel; a morsel is processed by exactly one
   // worker, so workers never write the same slot. Merging the slots in
@@ -191,7 +186,7 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
   ctx->MaybeInjectFault("parallel/build");
 
   const int workers = ResolveWorkers(hints);
-  MorselQueue queue(build_table->row_count(), ResolveMorselSize(hints),
+  MorselQueue queue(build_table->row_count(), parallel_config_.morsel_size,
                     workers, parallel_config_.work_stealing);
   struct BuildPartial {
     std::vector<i64> keys;
@@ -279,12 +274,8 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
 
   // Left outer never blooms (missed probe rows must be emitted, not
   // discarded); this entry point takes the spec by const ref, so the
-  // exclusion HashJoinOperator::Normalize applies lives here too. A
-  // macro-adaptivity hint overrides the spec's static choice — bloom
-  // only discards probe rows that would miss anyway, so both arms
-  // produce identical join output.
-  const bool bloom_on = hints.bloom >= 0 ? hints.bloom != 0 : spec.use_bloom;
-  if (bloom_on && spec.kind != HashJoinSpec::Kind::kLeftOuter &&
+  // exclusion HashJoinOperator::Normalize applies lives here too.
+  if (spec.use_bloom && spec.kind != HashJoinSpec::Kind::kLeftOuter &&
       engine_config_.join_bloom_filters) {
     shared->bloom = std::make_unique<BloomFilter>(
         BloomFilter::ForKeys(shared->ht.num_rows() + 1));
@@ -307,7 +298,7 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   ctx->MaybeInjectFault("parallel/agg");
 
   const int workers = ResolveWorkers(hints);
-  MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
+  MorselQueue queue(table->row_count(), parallel_config_.morsel_size, workers,
                     parallel_config_.work_stealing);
   std::vector<std::unique_ptr<HashAggOperator>> aggs(num_threads());
 
@@ -453,7 +444,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   auto less = [&](u64 a, u64 b) { return SortRowsLess(key_cols, keys, a, b); };
 
   const int workers = ResolveWorkers(hints);
-  MorselQueue queue(table->row_count(), ResolveMorselSize(hints), workers,
+  MorselQueue queue(table->row_count(), parallel_config_.morsel_size, workers,
                     parallel_config_.work_stealing);
   // Per-worker bounded max-heaps: front = worst retained row.
   std::vector<std::vector<u64>> heaps(workers);

@@ -58,21 +58,12 @@ struct ParallelConfig {
   bool work_stealing = true;
 };
 
-/// Per-stage execution-strategy overrides, resolved once before a stage
-/// runs (macro-adaptivity; adapt/strategy.h). Defaults mean "use the
-/// static configuration". Every field is byte-neutral: worker count and
-/// morsel size only redistribute morsels (outputs merge in morsel-index
-/// order), and the bloom filter only skips probe rows that would miss
-/// anyway.
+/// Per-stage overrides of the static configuration; defaults mean "use
+/// it as configured". The worker count is byte-neutral: it only
+/// redistributes morsels, and outputs merge in morsel-index order.
 struct StageHints {
   /// Workers to actually run (clamped to the pool size); 0 = all.
   int workers = 0;
-  /// Rows per morsel; 0 = ParallelConfig::morsel_size.
-  u64 morsel_size = 0;
-  /// Bloom filter on the join build: -1 = follow the spec/config, 0 =
-  /// force off, 1 = force on (still subject to the left-outer and
-  /// EngineConfig::join_bloom_filters exclusions).
-  int bloom = -1;
 };
 
 class ParallelExecutor {
@@ -205,10 +196,9 @@ class ParallelExecutor {
                             std::vector<std::string> scan_columns,
                             const PipelineFactory& factory, Table* sink,
                             const StageHints& hints);
-  /// Hints resolved against the pool and static config: the worker
-  /// count actually running this stage and the morsel size to split by.
+  /// The worker count actually running this stage: the hint clamped to
+  /// the pool size.
   int ResolveWorkers(const StageHints& hints) const;
-  u64 ResolveMorselSize(const StageHints& hints) const;
   /// Fresh per-worker engines for a new run, all governed by the active
   /// context (which is reset first when it is the private fallback).
   /// Returns the context every phase of the run must poll.

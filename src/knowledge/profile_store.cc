@@ -7,21 +7,19 @@ namespace ma::knowledge {
 
 namespace {
 
-// File format v2:
+// File format v3:
 //   u32 magic 'MAKS' | u32 version | u64 payload_size | u64 fnv1a64(payload)
 //   payload: u64 profile_count, then per profile:
 //     str site | str signature | u64 queries | u64 instances
 //     u64 calls | u64 tuples | u64 cycles | u32 flavor_count
 //     per flavor: str name | u64 calls | u64 tuples | u64 cycles
 //                 u64 timed_tuples
-//   then (new in v2) u64 strategy_count, per strategy record:
-//     str site | u8 kind | u32 arm_count
-//     per arm: str label | u64 decisions | u64 tuples | u64 cycles
 //   str = u32 length + bytes. All integers little-endian.
-// Readers reject any other version (all-or-nothing Load), so a v1 file
-// cold-starts a v2 store cleanly instead of being half-read.
+// v3 is v2 without its trailing strategy-record section. Readers reject
+// any other version (all-or-nothing Load), so v1 and v2 files cold-start
+// a v3 store cleanly instead of being half-read.
 constexpr u32 kMagic = 0x534B414Du;  // 'MAKS'
-constexpr u32 kVersion = 2;
+constexpr u32 kVersion = 3;
 constexpr size_t kHeaderSize = 4 + 4 + 8 + 8;
 
 u64 Fnv1a64(std::string_view bytes) {
@@ -55,12 +53,6 @@ class Reader {
  public:
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
-  bool U8(u8* v) {
-    if (bytes_.size() - pos_ < 1) return false;
-    *v = static_cast<u8>(bytes_[pos_]);
-    pos_ += 1;
-    return true;
-  }
   bool U32(u32* v) {
     if (bytes_.size() - pos_ < 4) return false;
     std::memcpy(v, bytes_.data() + pos_, 4);
@@ -159,52 +151,9 @@ std::vector<StoredProfile> ProfileStore::Dump() const {
   return out;
 }
 
-void ProfileStore::MergeStrategies(
-    const std::vector<StrategyProfile>& deltas) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const StrategyProfile& d : deltas) {
-    StrategyProfile& rec = strategies_[StrategyKey(d.site, d.kind)];
-    if (rec.site.empty()) {
-      rec.site = d.site;
-      rec.kind = d.kind;
-    }
-    for (const StrategyProfile::Arm& arm : d.arms) {
-      StrategyProfile::Arm* row = nullptr;
-      for (StrategyProfile::Arm& r : rec.arms) {
-        if (r.label == arm.label) {
-          row = &r;
-          break;
-        }
-      }
-      if (row == nullptr) {
-        rec.arms.push_back(StrategyProfile::Arm{.label = arm.label});
-        row = &rec.arms.back();
-      }
-      row->decisions += arm.decisions;
-      row->tuples += arm.tuples;
-      row->cycles += arm.cycles;
-    }
-  }
-  // Strategy records never feed WarmStartSnapshot; no invalidation.
-}
-
-std::vector<StrategyProfile> ProfileStore::DumpStrategies() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StrategyProfile> out;
-  out.reserve(strategies_.size());
-  for (const auto& [key, rec] : strategies_) out.push_back(rec);
-  return out;
-}
-
-size_t ProfileStore::strategies_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return strategies_.size();
-}
-
 void ProfileStore::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   profiles_.clear();
-  strategies_.clear();
   snapshot_.reset();
 }
 
@@ -239,18 +188,6 @@ std::string ProfileStore::Serialize() const {
       PutU64(&payload, f.timed_tuples);
     }
   }
-  PutU64(&payload, strategies_.size());
-  for (const auto& [key, rec] : strategies_) {
-    PutStr(&payload, rec.site);
-    payload.push_back(static_cast<char>(rec.kind));
-    PutU32(&payload, static_cast<u32>(rec.arms.size()));
-    for (const StrategyProfile::Arm& arm : rec.arms) {
-      PutStr(&payload, arm.label);
-      PutU64(&payload, arm.decisions);
-      PutU64(&payload, arm.tuples);
-      PutU64(&payload, arm.cycles);
-    }
-  }
   std::string out;
   out.reserve(kHeaderSize + payload.size());
   PutU32(&out, kMagic);
@@ -266,7 +203,6 @@ Status ProfileStore::Deserialize(std::string_view bytes) {
   // success; any failure leaves the store empty (cold start).
   std::lock_guard<std::mutex> lock(mu_);
   profiles_.clear();
-  strategies_.clear();
   snapshot_.reset();
   if (bytes.size() < kHeaderSize) {
     return Status::InvalidArgument("knowledge store: truncated header");
@@ -320,37 +256,10 @@ Status ProfileStore::Deserialize(std::string_view bytes) {
       return Status::InvalidArgument("knowledge store: duplicate profile");
     }
   }
-  std::map<std::string, StrategyProfile> parsed_strategies;
-  u64 strategy_count = 0;
-  if (!r.U64(&strategy_count)) {
-    return Status::InvalidArgument("knowledge store: truncated payload");
-  }
-  for (u64 i = 0; i < strategy_count; ++i) {
-    StrategyProfile rec;
-    u8 kind = 0;
-    u32 arm_count = 0;
-    if (!r.Str(&rec.site) || !r.U8(&kind) || !r.U32(&arm_count)) {
-      return Status::InvalidArgument("knowledge store: truncated strategy");
-    }
-    rec.kind = static_cast<StrategyKind>(kind);
-    for (u32 a = 0; a < arm_count; ++a) {
-      StrategyProfile::Arm arm;
-      if (!r.Str(&arm.label) || !r.U64(&arm.decisions) ||
-          !r.U64(&arm.tuples) || !r.U64(&arm.cycles)) {
-        return Status::InvalidArgument("knowledge store: truncated arm");
-      }
-      rec.arms.push_back(std::move(arm));
-    }
-    std::string key = StrategyKey(rec.site, rec.kind);
-    if (!parsed_strategies.emplace(std::move(key), std::move(rec)).second) {
-      return Status::InvalidArgument("knowledge store: duplicate strategy");
-    }
-  }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("knowledge store: trailing bytes");
   }
   profiles_ = std::move(parsed);
-  strategies_ = std::move(parsed_strategies);
   return Status::OK();
 }
 

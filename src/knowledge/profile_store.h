@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "adapt/profile_merge.h"
-#include "adapt/strategy.h"
 #include "adapt/warm_start.h"
 #include "common/status.h"
 
@@ -82,17 +81,6 @@ class ProfileStore {
   /// All profiles in key order (deterministic), for reporting/tests.
   std::vector<StoredProfile> Dump() const;
 
-  /// Folds macro-adaptivity strategy deltas (StrategyBook::ExportDelta)
-  /// into the store, summing arm stats by (site key, arm label). Like
-  /// flavor profiles, strategy records are pure reward state: nothing
-  /// here can change result bytes.
-  void MergeStrategies(const std::vector<StrategyProfile>& deltas);
-
-  /// All strategy records in key order, the StrategyBook::Seed payload.
-  std::vector<StrategyProfile> DumpStrategies() const;
-
-  size_t strategies_size() const;
-
   void Clear();
   size_t size() const;
   /// Total query profiles folded in via Merge() since construction
@@ -122,9 +110,6 @@ class ProfileStore {
   /// std::map: deterministic iteration order makes Serialize/Dump
   /// deterministic without an extra sort.
   std::map<Key, StoredProfile> profiles_;
-  /// Strategy records keyed by StrategyKey(site, kind) — the same key
-  /// the StrategyBook uses, so seeds and deltas line up exactly.
-  std::map<std::string, StrategyProfile> strategies_;
   u64 merged_ = 0;
   /// Lazily built, invalidated on every mutation.
   mutable std::shared_ptr<const WarmStartSnapshot> snapshot_;
@@ -141,11 +126,6 @@ struct KnowledgeConfig {
   /// When non-empty: Load() the store from this path at server start
   /// (cold start if missing/corrupt) and Save() it on Shutdown().
   std::string store_path;
-  /// Macro-adaptivity: bandit-select per-stage thread count, bloom
-  /// on/off and morsel size (adapt/strategy.h), seeded from the store's
-  /// strategy records at start and merged back at Shutdown(). Off by
-  /// default — the static heuristics rule unless a workload opts in.
-  bool strategies = false;
   /// External store shared across servers/passes; the server creates a
   /// private one when null.
   std::shared_ptr<ProfileStore> store;

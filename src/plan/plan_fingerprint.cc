@@ -56,25 +56,18 @@ void PutPairs(std::string* out,
   }
 }
 
-/// `stable` omits table pointers so the canon (and its hash) survives
-/// process restarts — the variant behind PlanFingerprint::stable_hash.
 /// `labels` = false omits node labels — the variant behind
 /// SubtreeCanon, where display-only label prefixes must not keep
 /// structurally identical subtrees apart.
-struct CanonFlags {
-  bool stable = false;
-  bool labels = true;
-};
-
-void PutNode(std::string* out, const PlanNode& n, CanonFlags f) {
+void PutNode(std::string* out, const PlanNode& n, bool labels) {
   PutU8(out, static_cast<u8>(n.kind));
-  PutStr(out, f.labels ? std::string_view(n.label) : std::string_view());
+  PutStr(out, labels ? std::string_view(n.label) : std::string_view());
   switch (n.kind) {
     case NodeKind::kScan: {
       // Table identity + name + full column schema: the pointer keys the
       // exact catalog object, the schema acts as its version (AddColumn
       // changes the fingerprint).
-      PutU64(out, f.stable ? 0 : reinterpret_cast<u64>(n.table));
+      PutU64(out, reinterpret_cast<u64>(n.table));
       if (n.table != nullptr) {
         PutStr(out, n.table->name());
         PutU64(out, n.table->num_columns());
@@ -148,14 +141,14 @@ void PutNode(std::string* out, const PlanNode& n, CanonFlags f) {
       // (the kind byte differs), so sharing structure is plan identity,
       // yet two refs of the same spec encode identically.
       PutStr(out, n.shared != nullptr ? n.shared->name : "?");
-      if (n.shared != nullptr) PutNode(out, *n.shared->root, f);
+      if (n.shared != nullptr) PutNode(out, *n.shared->root, labels);
       break;
   }
   PutU64(out, n.children.size());
-  for (const auto& c : n.children) PutNode(out, *c, f);
+  for (const auto& c : n.children) PutNode(out, *c, labels);
 }
 
-void PutPlan(std::string* out, const LogicalPlan& plan, CanonFlags f) {
+void PutPlan(std::string* out, const LogicalPlan& plan) {
   if (!plan.ok()) {
     PutStr(out, "!invalid");
     PutStr(out, plan.status.message());
@@ -169,9 +162,9 @@ void PutPlan(std::string* out, const LogicalPlan& plan, CanonFlags f) {
     PutStr(out, s.name);
     PutStr(out, s.column);
     PutU8(out, static_cast<u8>(s.type));
-    PutNode(out, *s.root, f);
+    PutNode(out, *s.root, /*labels=*/true);
   }
-  PutNode(out, *plan.root, f);
+  PutNode(out, *plan.root, /*labels=*/true);
 }
 
 u64 Fnv1a64(std::string_view bytes) {
@@ -187,17 +180,14 @@ u64 Fnv1a64(std::string_view bytes) {
 
 PlanFingerprint FingerprintPlan(const LogicalPlan& plan) {
   PlanFingerprint fp;
-  PutPlan(&fp.canon, plan, {.stable = false, .labels = true});
+  PutPlan(&fp.canon, plan);
   fp.hash = Fnv1a64(fp.canon);
-  std::string stable_canon;
-  PutPlan(&stable_canon, plan, {.stable = true, .labels = true});
-  fp.stable_hash = Fnv1a64(stable_canon);
   return fp;
 }
 
 std::string SubtreeCanon(const PlanNode& n) {
   std::string out;
-  PutNode(&out, n, {.stable = false, .labels = false});
+  PutNode(&out, n, /*labels=*/false);
   return out;
 }
 

@@ -26,14 +26,6 @@ namespace ma::plan {
 struct PlanFingerprint {
   u64 hash = 0;
   std::string canon;
-  /// FNV-1a-64 over the canon with table pointers OMITTED (name + schema
-  /// still included): stable across process restarts, so it can key
-  /// PERSISTED learning records — the macro-adaptivity strategy sites
-  /// (adapt/strategy.h) that must survive a save/load cycle. Never used
-  /// for cache equality (two same-named, same-schema tables with
-  /// different data collide by design; strategy rewards are time-only,
-  /// so a collision blurs priors, never results).
-  u64 stable_hash = 0;
 
   bool operator==(const PlanFingerprint& o) const {
     return hash == o.hash && canon == o.canon;

@@ -7,7 +7,6 @@
 #include "common/cycleclock.h"
 #include "exec/op_scan.h"
 #include "exec/op_sort.h"
-#include "plan/plan_fingerprint.h"
 #include "storage/intermediate.h"
 
 namespace ma::plan {
@@ -75,13 +74,7 @@ std::unique_ptr<IntermediateTable> MakeIntermediate(const Stage& stage) {
 QuerySession::QuerySession(SessionConfig config, PrimitiveDictionary* dict)
     : config_(std::move(config)),
       dict_(dict),
-      engine_(config_.engine, dict) {
-  // A session enabled without a shared book learns privately (a server
-  // shares ONE book across its driver sessions instead).
-  if (config_.macro.enabled && config_.macro.book == nullptr) {
-    config_.macro.book = std::make_shared<StrategyBook>(config_.macro.params);
-  }
-}
+      engine_(config_.engine, dict) {}
 
 namespace {
 
@@ -134,24 +127,14 @@ RunResult QuerySession::Run(const LogicalPlan& plan, ExecMode mode,
             : static_cast<int>(std::thread::hardware_concurrency());
     auto gate = [&](const StagePlan& sp) {
       if (mode != ExecMode::kAuto) return true;
-      // Macro-adaptivity replaces the static row-count heuristic: the
-      // per-stage thread-count bandit can LEARN that one worker is
-      // best for a small stage, which is what the gate guessed at.
-      if (config_.macro.enabled) return true;
       return threads > 1 && DrivingRows(sp) >= config_.min_parallel_rows;
     };
-    // Strategy sites are keyed by the STABLE fingerprint (no table
-    // pointers), so learned strategies survive process restarts.
-    std::string site_prefix;
-    if (config_.macro.enabled) {
-      site_prefix = StrategySitePrefix(FingerprintPlan(plan).stable_hash);
-    }
     if (staged != nullptr) {
       // Precompiled (plan-cache hit): skip BuildStagePlan entirely.
       if (gate(*staged)) {
         last_run_parallel_ = true;
         return WithDeclaredSchema(plan.root->schema,
-                                  RunStaged(*staged, ctx, site_prefix));
+                                  RunStaged(*staged, ctx));
       }
     } else {
       StagePlan sp;
@@ -159,7 +142,7 @@ RunResult QuerySession::Run(const LogicalPlan& plan, ExecMode mode,
       if (s.ok() && gate(sp)) {
         last_run_parallel_ = true;
         return WithDeclaredSchema(plan.root->schema,
-                                  RunStaged(sp, ctx, site_prefix));
+                                  RunStaged(sp, ctx));
       }
     }
   }
@@ -195,15 +178,12 @@ void QuerySession::set_warm_start(
   if (parallel_ != nullptr) parallel_->set_warm_start(std::move(priors));
 }
 
-RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
-                                  const std::string& site_prefix) {
+RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
   if (parallel_ == nullptr) {
     parallel_ = std::make_unique<ParallelExecutor>(
         config_.engine, config_.parallel, dict_, config_.shared_pool);
     parallel_->set_task_tag(task_tag_);
   }
-  StrategyBook* book =
-      config_.macro.enabled ? config_.macro.book.get() : nullptr;
   engine_.ResetProfile();  // sort/merge stages and the tail run here
   engine_.set_context(ctx);
   parallel_->set_context(ctx);
@@ -241,69 +221,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     return {in.scan->table, in.scan->columns};
   };
 
-  // --- Macro-adaptivity bookkeeping ----------------------------------
-  // Per-stage wall cycles and input rows, the reward currency: a
-  // strategy arm is credited with (tuples, cycles) only after the WHOLE
-  // query succeeds (partial timings of failed runs never teach).
-  std::vector<u64> stage_cycles(sp.stages.size(), 0);
-  std::vector<u64> stage_rows(sp.stages.size(), 0);
-  // (decision, stage id) pairs rewarded with that stage's own timing.
-  std::vector<std::pair<StrategyBook::Decision, int>> stage_decisions;
-  // Bloom decisions are rewarded with the build stage PLUS its probing
-  // consumers: the filter costs cycles at build time to save them at
-  // probe time, so only the combined timing ranks on/off fairly.
-  std::vector<std::pair<StrategyBook::Decision, int>> bloom_decisions;
-  // Resolves the hints for one parallel stage, recording decisions for
-  // the post-run reward pass. `bloom_site` marks a join build whose
-  // spec/config would bloom statically.
-  auto decide_hints = [&](const Stage& stage, bool bloom_site) {
-    StageHints hints;
-    if (book == nullptr) return hints;
-    const std::string site = site_prefix + "/s" + std::to_string(stage.id);
-    const int pool = parallel_->num_threads();
-    std::vector<StrategyArm> tarms;
-    auto add_t = [&tarms](int n) {
-      if (n <= 0) return;
-      for (const StrategyArm& a : tarms) {
-        if (a.value == static_cast<u64>(n)) return;
-      }
-      tarms.push_back({"t" + std::to_string(n), static_cast<u64>(n)});
-    };
-    add_t(pool);  // static default first: a cold site behaves statically
-    add_t(2);
-    add_t(1);
-    if (tarms.size() > 1) {
-      StrategyBook::Decision d =
-          book->Decide(site, StrategyKind::kThreadCount, tarms);
-      hints.workers = static_cast<int>(d.value);
-      stage_decisions.emplace_back(std::move(d), stage.id);
-    }
-    std::vector<StrategyArm> marms;
-    auto add_m = [&marms](u64 rows) {
-      if (rows == 0) return;
-      for (const StrategyArm& a : marms) {
-        if (a.value == rows) return;
-      }
-      marms.push_back({"m" + std::to_string(rows), rows});
-    };
-    add_m(config_.parallel.morsel_size);
-    add_m(config_.macro.small_morsel_rows);
-    add_m(config_.macro.large_morsel_rows);
-    if (marms.size() > 1) {
-      StrategyBook::Decision d =
-          book->Decide(site, StrategyKind::kMorselSize, marms);
-      hints.morsel_size = d.value;
-      stage_decisions.emplace_back(std::move(d), stage.id);
-    }
-    if (bloom_site) {
-      StrategyBook::Decision d = book->Decide(
-          site, StrategyKind::kBloom, {{"on", 1}, {"off", 0}});
-      hints.bloom = static_cast<int>(d.value);
-      bloom_decisions.emplace_back(std::move(d), stage.id);
-    }
-    return hints;
-  };
-
   StageProfile acc;
   RunResult result;
   // Shared stage epilogue: fold the stage's timings into the run
@@ -314,7 +231,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     acc.execute += r.stages.execute;
     acc.primitives += r.stages.primitives;
     acc.postprocess += r.stages.postprocess;
-    stage_cycles[stage.id] = r.total_cycles;
     if (!r.status.ok()) return;  // the post-stage status check unwinds
     if (stage.materialize) {
       if (mats[stage.id] == nullptr) {
@@ -338,24 +254,14 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     switch (stage.kind) {
       case Stage::Kind::kJoinBuild: {
         const auto [table, columns] = resolve(stage.input);
-        stage_rows[stage.id] = table->row_count();
         auto factory = [&stage, &builds, &bindings](
                            Engine* engine, OperatorPtr leaf) -> OperatorPtr {
           return Compiler::CompileFragment(stage.root, stage.stop, engine,
                                            std::move(leaf), builds,
                                            bindings);
         };
-        // Bloom is only a decision where the static path would bloom;
-        // left-outer and config exclusions stay hard rules.
-        const bool bloom_site =
-            stage.join->hash_spec.use_bloom &&
-            stage.join->hash_spec.kind != HashJoinSpec::Kind::kLeftOuter &&
-            config_.engine.join_bloom_filters;
-        const StageHints hints = decide_hints(stage, bloom_site);
-        const u64 b0 = CycleClock::Now();
-        owned_builds.push_back(parallel_->BuildJoin(
-            table, columns, factory, stage.join->hash_spec, hints));
-        stage_cycles[stage.id] = CycleClock::Now() - b0;
+        owned_builds.push_back(parallel_->BuildJoin(table, columns, factory,
+                                                    stage.join->hash_spec));
         if (owned_builds.back() == nullptr) break;  // ctx holds the error
         builds[stage.join] = owned_builds.back().get();
         break;
@@ -363,33 +269,30 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
       case Stage::Kind::kPipeline:
       case Stage::Kind::kAggregate: {
         const auto [table, columns] = resolve(stage.input);
-        stage_rows[stage.id] = table->row_count();
         auto factory = [&stage, &builds, &bindings](
                            Engine* engine, OperatorPtr leaf) -> OperatorPtr {
           return Compiler::CompileFragment(stage.root, stage.stop, engine,
                                            std::move(leaf), builds,
                                            bindings);
         };
-        const StageHints hints = decide_hints(stage, false);
         RunResult r;
         if (stage.kind == Stage::Kind::kPipeline && stage.materialize) {
           // Per-morsel partials append straight into the intermediate.
           mats[stage.id] = MakeIntermediate(stage);
           r = parallel_->RunPipelineInto(table, columns, factory,
-                                         mats[stage.id].get(), hints);
+                                         mats[stage.id].get());
           outs[stage.id] = mats[stage.id]->table();
         } else if (stage.kind == Stage::Kind::kAggregate) {
           r = parallel_->RunAgg(table, columns, factory,
-                                MakeAggPlan(stage.agg, bindings), hints);
+                                MakeAggPlan(stage.agg, bindings));
         } else {
-          r = parallel_->RunPipeline(table, columns, factory, hints);
+          r = parallel_->RunPipeline(table, columns, factory);
         }
         finish(stage, std::move(r));
         break;
       }
       case Stage::Kind::kSort: {
         const auto [table, columns] = resolve(stage.input);
-        stage_rows[stage.id] = table->row_count();
         if (stage.prove_sorted) {
           // Order-proof stage under a merge join: verify the key column
           // is ascending and pass the input through untouched. A
@@ -419,9 +322,8 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
           // Sort+Limit over a large input: parallel TopN (per-worker
           // bounded heaps + ordered merge) instead of a serial full
           // sort — same comparator, byte-identical output.
-          const StageHints hints = decide_hints(stage, false);
           finish(stage, parallel_->RunTopN(table, columns, stage.sort_keys,
-                                           stage.limit, hints));
+                                           stage.limit));
           break;
         }
         auto op = std::make_unique<SortOperator>(
@@ -475,9 +377,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   // final merged result. A leading Sort+Limit over a large merge goes
   // through the parallel TopN (byte-identical to the serial operator);
   // the rest runs serially.
-  std::pair<StrategyBook::Decision, u64> tail_decision;  // (d, cycles)
-  u64 tail_tuples = 0;
-  bool have_tail_decision = false;
   if (!sp.tail.empty()) {
     std::unique_ptr<Table> merged = std::move(result.table);
     size_t tail_start = 0;
@@ -485,27 +384,8 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
     if (merged != nullptr && head->kind == NodeKind::kSort &&
         head->limit > 0 && !head->sort_keys.empty() &&
         merged->row_count() >= kParallelTopNMinRows) {
-      StageHints hints;
-      if (book != nullptr) {
-        // The tail is not a stage; it gets its own site suffix. Only
-        // the thread count is decided here — the scan is a single pass
-        // over an already-materialized table, so morsel size is noise.
-        const int pool = parallel_->num_threads();
-        std::vector<StrategyArm> tarms;
-        tarms.push_back({"t" + std::to_string(pool),
-                         static_cast<u64>(pool)});
-        if (pool != 2) tarms.push_back({"t2", 2});
-        if (pool != 1) tarms.push_back({"t1", 1});
-        if (tarms.size() > 1) {
-          tail_decision.first = book->Decide(
-              site_prefix + "/tail", StrategyKind::kThreadCount, tarms);
-          hints.workers = static_cast<int>(tail_decision.first.value);
-          tail_tuples = merged->row_count();
-          have_tail_decision = true;
-        }
-      }
       RunResult topn = parallel_->RunTopN(merged.get(), {}, head->sort_keys,
-                                          head->limit, hints);
+                                          head->limit);
       acc.execute += topn.stages.execute;
       acc.primitives += topn.stages.primitives;
       acc.postprocess += topn.stages.postprocess;
@@ -517,7 +397,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
                          CycleClock::FrequencyHz();
         return failed;
       }
-      tail_decision.second = topn.total_cycles;
       result.rows_emitted = topn.rows_emitted;
       merged = std::move(topn.table);
       tail_start = 1;
@@ -548,28 +427,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx,
   result.status = ctx->status();  // the tail may have failed
   result.reason = ReasonFromStatus(result.status);
   if (!result.status.ok()) result.table.reset();
-
-  // Reward pass: only a fully successful query teaches (failed or
-  // cancelled runs carry partial timings that would poison the stats).
-  if (book != nullptr && result.status.ok()) {
-    for (const auto& [d, sid] : stage_decisions) {
-      book->Reward(d, stage_rows[sid], stage_cycles[sid]);
-    }
-    for (const auto& [d, bid] : bloom_decisions) {
-      u64 tuples = stage_rows[bid];
-      u64 cycles = stage_cycles[bid];
-      for (const Stage& s : sp.stages) {
-        if (std::find(s.deps.begin(), s.deps.end(), bid) != s.deps.end()) {
-          tuples += stage_rows[s.id];
-          cycles += stage_cycles[s.id];
-        }
-      }
-      book->Reward(d, tuples, cycles);
-    }
-    if (have_tail_decision) {
-      book->Reward(tail_decision.first, tail_tuples, tail_decision.second);
-    }
-  }
   return result;
 }
 

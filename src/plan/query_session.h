@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "adapt/profile_merge.h"
-#include "adapt/strategy.h"
 #include "exec/engine.h"
 #include "exec/parallel/parallel_executor.h"
 #include "plan/compiler.h"
@@ -57,13 +56,6 @@ struct SessionConfig {
   /// the SAME pool so N concurrent queries share one set of workers
   /// (parallel.num_threads is then ignored; the pool's size rules).
   ThreadPool* shared_pool = nullptr;
-  /// Macro-adaptivity (adapt/strategy.h): when enabled, per-stage
-  /// thread count, bloom on/off and morsel size are bandit-selected per
-  /// (stable plan fingerprint, stage) instead of statically configured,
-  /// and the kAuto row-count gate yields to the learned thread-count
-  /// arm. Strategies steer time, never bytes — results stay
-  /// byte-identical to a static run.
-  MacroAdaptConfig macro;
 };
 
 class QuerySession {
@@ -121,10 +113,7 @@ class QuerySession {
 
  private:
   RunResult RunSerial(const LogicalPlan& plan, QueryContext* ctx);
-  /// `site_prefix` is the plan's strategy-site prefix ("fp<hash>"),
-  /// empty when macro-adaptivity is off.
-  RunResult RunStaged(const StagePlan& sp, QueryContext* ctx,
-                      const std::string& site_prefix);
+  RunResult RunStaged(const StagePlan& sp, QueryContext* ctx);
 
   SessionConfig config_;
   PrimitiveDictionary* dict_;

@@ -78,17 +78,6 @@ WorkloadServer::WorkloadServer(ServerConfig config)
     // store guarantees it is empty after a failed Load.
     store_loaded_ = store_->Load(config_.knowledge.store_path).ok();
   }
-  if (config_.knowledge.strategies) {
-    // One book for all drivers: what one query learned about a stage
-    // steers the next execution of the same plan, whichever driver gets
-    // it. An externally supplied book (session.macro.book) is adopted
-    // so tests/benches can observe it directly.
-    strategy_book_ = config_.session.macro.book != nullptr
-                         ? config_.session.macro.book
-                         : std::make_shared<StrategyBook>(
-                               config_.session.macro.params);
-    strategy_book_->Seed(store_->DumpStrategies());
-  }
   const int drivers = std::max(1, config_.max_concurrent);
   drivers_.reserve(drivers);
   for (int i = 0; i < drivers; ++i) {
@@ -110,22 +99,13 @@ void WorkloadServer::Shutdown() {
   // Drivers drained: persist everything learned this run. Best-effort —
   // a failed save costs the next process its warm start, nothing else.
   bool save = false;
-  bool merge_strategies = false;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (strategy_book_ != nullptr && !strategies_merged_) {
-      strategies_merged_ = true;
-      merge_strategies = true;
-    }
     if (!config_.knowledge.store_path.empty() && !store_saved_) {
       store_saved_ = true;
       save = true;
     }
   }
-  // The book's live delta (seeded priors excluded — no double count)
-  // becomes the store's strategy records, before the save so a
-  // persisted store carries them.
-  if (merge_strategies) store_->MergeStrategies(strategy_book_->ExportDelta());
   if (save) store_->Save(config_.knowledge.store_path);
 }
 
@@ -165,10 +145,6 @@ void WorkloadServer::DriverLoop() {
   // the pool phases per query.
   plan::SessionConfig sc = config_.session;
   sc.shared_pool = &pool_;
-  if (strategy_book_ != nullptr) {
-    sc.macro.enabled = true;
-    sc.macro.book = strategy_book_;
-  }
   plan::QuerySession session(sc);
 
   for (;;) {
@@ -331,11 +307,6 @@ ServerStats WorkloadServer::stats() const {
   s.plan_cache_misses = plan_cache_.misses();
   s.profiles_merged = store_->profiles_merged();
   s.store_profiles = store_->size();
-  if (strategy_book_ != nullptr) {
-    s.strategy_decisions = strategy_book_->decisions();
-    s.strategy_switches = strategy_book_->switches();
-  }
-  s.store_strategies = store_->strategies_size();
   return s;
 }
 

@@ -138,10 +138,6 @@ struct ServerStats {
   u64 plan_cache_misses = 0;
   u64 profiles_merged = 0;  // query profiles folded into the store
   u64 store_profiles = 0;   // distinct (site, signature) rows held
-  // Macro-adaptivity counters (0 unless KnowledgeConfig::strategies).
-  u64 strategy_decisions = 0;  // per-stage strategy Decide() calls
-  u64 strategy_switches = 0;   // decisions that changed the chosen arm
-  u64 store_strategies = 0;    // strategy records held by the store
 };
 
 class WorkloadServer;
@@ -225,15 +221,9 @@ class WorkloadServer {
   RetryPolicy retry_;
   std::shared_ptr<knowledge::ProfileStore> store_;
   knowledge::PlanCache plan_cache_;
-  /// Macro-adaptivity strategy book shared by every driver session
-  /// (null unless KnowledgeConfig::strategies): seeded from the store
-  /// at construction, its delta merged back once at Shutdown().
-  std::shared_ptr<StrategyBook> strategy_book_;
   bool store_loaded_ = false;
-  /// Shutdown() saves the store at most once (guarded by queue_mu_);
-  /// the strategy delta merges in the same guarded step.
+  /// Shutdown() saves the store at most once (guarded by queue_mu_).
   bool store_saved_ = false;
-  bool strategies_merged_ = false;
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -1363,11 +1363,6 @@ plan::LogicalPlan Q21Plan(const TpchData& d) {
       .Build();
 }
 
-bool HasPlan(int q) {
-  MA_CHECK(q >= 1 && q <= 22);
-  return true;  // all 22 queries are plan-level ports now
-}
-
 plan::LogicalPlan PlanForQuery(const TpchData& d, int q) {
   switch (q) {
     case 1: return Q1Plan(d);
@@ -1393,7 +1388,7 @@ plan::LogicalPlan PlanForQuery(const TpchData& d, int q) {
     case 21: return Q21Plan(d);
     case 22: return Q22Plan(d);
     default:
-      MA_CHECK(false);  // caller gates on HasPlan(q)
+      MA_CHECK(false);  // precondition: 1 <= q <= 22
       return plan::LogicalPlan{};
   }
 }

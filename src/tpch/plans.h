@@ -131,13 +131,7 @@ plan::LogicalPlan Q12Plan(const TpchData& d);
 /// constant key and joined — both hash-join sides fed by aggregations.
 plan::LogicalPlan Q14Plan(const TpchData& d);
 
-/// True when query `q` (1..22) has a plan-level port above. All 22
-/// queries do — the workload and the serving layer
-/// (serve/workload_server.h) drive every query through
-/// plan::QuerySession. Kept for call-site compatibility.
-bool HasPlan(int q);
-
-/// The ported plan for query `q`; MA_CHECKs HasPlan(q).
+/// The ported plan for query `q`. Precondition: 1 <= q <= 22 (checked).
 plan::LogicalPlan PlanForQuery(const TpchData& d, int q);
 
 }  // namespace ma::tpch

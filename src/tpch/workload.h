@@ -42,10 +42,9 @@ struct ModeRun {
 };
 
 /// Runs all 22 queries; fresh engine state per query (instances and
-/// bandit state are per-query, as in Vectorwise). Plan-ported queries
-/// (plans.h HasPlan) run through plan::QuerySession — the same entry
-/// point the serving layer uses — and the remaining hand-built trees
-/// take the legacy Engine path.
+/// bandit state are per-query, as in Vectorwise). Every query runs
+/// through plan::QuerySession — the same entry point the serving layer
+/// uses.
 ModeRun RunAllQueries(const EngineConfig& config, const TpchData& data,
                       std::string name, bool quiet = true);
 

@@ -216,15 +216,19 @@ TEST(ProfileStoreTest, CorruptOrTruncatedFileFallsBackToColdStart) {
   }
   // Trailing garbage is rejected too (size/checksum mismatch).
   expect_cold(good + "xx", "trailing");
-  // Other format versions are refused rather than misparsed — both a
-  // future one and the strategy-less v1 (old files cold-start cleanly).
+  // Other format versions are refused rather than misparsed — a future
+  // one, v1, and v2 with its strategy-record section (old files
+  // cold-start cleanly).
   {
     std::string future = good;
-    future[4] = 3;  // version u32 at offset 4 (little-endian)
+    future[4] = 4;  // version u32 at offset 4 (little-endian)
     expect_cold(future, "future-version");
     std::string v1 = good;
     v1[4] = 1;
     expect_cold(v1, "old-version");
+    std::string v2 = good;
+    v2[4] = 2;
+    expect_cold(v2, "v2-version");
   }
   std::remove(path.c_str());
 }

@@ -1,17 +1,21 @@
 // Morsel-driven parallel execution: scheduler coverage, multi-thread vs
 // single-thread result parity on scan/select/project, hash-join and
 // hash-agg pipelines, byte-identity of streaming pipelines across
-// thread counts, per-thread bandit independence, and profile merging.
+// thread counts, per-thread bandit independence, profile merging, and
+// parallel TopN byte-identity against the serial sort.
 // This binary is also the target of the ThreadSanitizer CI job: it
 // exercises the work-stealing queue, the shared (read-only) join build
 // probed concurrently, and the post-run profile merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "adapt/profile_merge.h"
@@ -25,6 +29,8 @@
 #include "exec/parallel/parallel_executor.h"
 #include "exec/parallel/thread_pool.h"
 #include "common/rng.h"
+#include "plan/plan_builder.h"
+#include "plan/query_session.h"
 #include "table_fingerprint.h"
 
 namespace ma {
@@ -865,6 +871,107 @@ TEST(ParallelProfileTest, MergedProfileAggregatesAcrossWorkers) {
   }
   EXPECT_EQ(flavor_calls, sel->calls);
   EXPECT_FALSE(sel->MostUsedFlavor().empty());
+}
+
+// ---------------------------------------------------------------------
+// Parallel TopN (ParallelExecutor::RunTopN and the staged sort+limit
+// path) against the serial SortOperator.
+// ---------------------------------------------------------------------
+
+using plan::LogicalPlan;
+using plan::PlanBuilder;
+using plan::QuerySession;
+
+/// i64 + f64 + string columns with heavy key ties, so TopN identity
+/// exercises every comparator branch and the row-index tiebreak.
+std::unique_ptr<Table> MakeMixedTable(size_t rows, u64 seed = 99) {
+  Rng rng(seed);
+  auto t = std::make_unique<Table>("mixed");
+  Column* g = t->AddColumn("g", PhysicalType::kI64);
+  Column* x = t->AddColumn("x", PhysicalType::kF64);
+  Column* s = t->AddColumn("s", PhysicalType::kStr);
+  Column* a = t->AddColumn("a", PhysicalType::kI64);
+  for (size_t i = 0; i < rows; ++i) {
+    g->Append<i64>(static_cast<i64>(rng.NextBounded(5)));  // heavy ties
+    x->Append<f64>(static_cast<f64>(rng.NextRange(-50, 50)) / 3.0);
+    s->AppendString("name" + std::to_string(rng.NextBounded(7)));
+    a->Append<i64>(static_cast<i64>(rng.NextBounded(1000000)));
+  }
+  t->set_row_count(rows);
+  return t;
+}
+
+/// Filter → sort-limit over enough rows that the staged path takes the
+/// parallel TopN branch.
+LogicalPlan TopNPlan(const Table* t, size_t limit) {
+  PlanBuilder p = PlanBuilder::Scan(t, {"g", "x", "s", "a"}, "st/tscan");
+  p.Filter(Lt(Col("a"), Lit(900000)), "st/tselect")
+      .Sort({{"g", false}, {"x", true}}, limit);
+  LogicalPlan plan = p.Build();
+  EXPECT_TRUE(plan.ok()) << plan.status.ToString();
+  return plan;
+}
+
+u64 SerialFingerprint(const LogicalPlan& plan) {
+  QuerySession session;
+  const RunResult r = session.Run(plan, plan::ExecMode::kSerial);
+  EXPECT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_NE(r.table, nullptr);
+  return ExactFingerprint(*r.table);
+}
+
+TEST(ParallelTopNTest, MatchesSerialSortAcrossThreadCounts) {
+  auto t = MakeMixedTable(50 * 1024);
+  const std::vector<std::string> cols = {"g", "x", "s", "a"};
+  struct KeySet {
+    std::vector<SortKey> keys;
+    size_t limit;
+  };
+  const KeySet cases[] = {
+      {{{"g", false}, {"x", true}}, 25},        // ties + desc f64
+      {{{"s", false}, {"a", false}}, 100},      // string-keyed
+      {{{"x", true}}, 7},                       // single f64 key
+      {{{"g", true}}, 200 * 1024},              // limit > row count
+  };
+  for (const KeySet& kc : cases) {
+    PlanBuilder b = PlanBuilder::Scan(t.get(), cols, "topn/scan");
+    b.Sort(kc.keys, kc.limit);
+    const LogicalPlan p = b.Build();
+    ASSERT_TRUE(p.ok()) << p.status.ToString();
+    const u64 serial_fp = SerialFingerprint(p);
+
+    for (const int threads : {1, 2, 4}) {
+      EngineConfig ecfg;
+      ecfg.adaptive.mode = ExecMode::kAdaptive;
+      ParallelConfig pcfg;
+      pcfg.num_threads = threads;
+      pcfg.morsel_size = 2048;
+      ParallelExecutor exec{ecfg, pcfg};
+      const RunResult r = exec.RunTopN(t.get(), cols, kc.keys, kc.limit);
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      EXPECT_EQ(r.rows_emitted,
+                std::min<u64>(kc.limit, t->row_count()));
+      EXPECT_EQ(ExactFingerprint(*r.table), serial_fp)
+          << "limit " << kc.limit << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelTopNTest, SessionSortLimitPlanIdenticalAcrossThreads) {
+  auto t = MakeMixedTable(32 * 1024);
+  const LogicalPlan p = TopNPlan(t.get(), 50);
+  const u64 serial_fp = SerialFingerprint(p);
+  for (const int threads : {1, 2, 4}) {
+    plan::SessionConfig sc;
+    sc.parallel.num_threads = threads;
+    sc.parallel.morsel_size = 2048;
+    sc.min_parallel_rows = 4096;
+    QuerySession session(sc);
+    const RunResult r = session.Run(p, plan::ExecMode::kParallel);
+    ASSERT_TRUE(r.ok()) << r.status.ToString();
+    EXPECT_EQ(ExactFingerprint(*r.table), serial_fp)
+        << threads << " threads";
+  }
 }
 
 }  // namespace
