@@ -25,13 +25,15 @@
 //
 // 4. Governance overhead: Q1/Q6 governed (live QueryContext — far
 //    deadline, large memory budget, so polls and accounting run but
-//    never fire) vs ungoverned. Governance lives only at batch/morsel
-//    boundaries, so the delta should be ~1%; >10% fails the bench.
+//    never fire) vs ungoverned, interleaved run by run. Governance
+//    lives only at batch/morsel boundaries, so the delta should be
+//    ~1%; a median overhead >10% fails the bench.
 //
 // 5. Concurrent serving: the plan-ported TPC-H query set submitted by
 //    1/2/4 concurrent tenants through one serve::WorkloadServer on a
 //    shared 4-thread pool (throughput in queries/sec, every completed
-//    table byte-identical to the single-tenant serial baseline), and
+//    table byte-identical to the single-tenant serial baseline; the
+//    per-query memory lease is twice the measured peak), and
 //    shed rate vs offered load against a deliberately tiny server —
 //    overload must shed with kRejected-only semantics, and a shed
 //    query that returns a table is a hard bench failure.
@@ -166,17 +168,46 @@ f64 MedianSeconds(F&& run, int reps = 0) {
   return samples[static_cast<size_t>(reps / 2)];
 }
 
-/// Best (minimum) seconds over `reps` runs after one warmup — the
-/// noise-robust statistic for overhead comparisons: scheduling noise
-/// only ever adds time, so min-vs-min isolates the code's own cost.
-/// reps <= 0 picks the default (7, or 3 in short mode).
-template <typename F>
-f64 MinSeconds(F&& run, int reps = 0) {
-  if (reps <= 0) reps = ShortMode() ? 3 : 7;
-  run();  // warmup
-  f64 best = run();
-  for (int r = 1; r < reps; ++r) best = std::min(best, run());
-  return best;
+/// Seconds of interleaved A/B runs; pair i is (a[i], b[i]).
+struct AbSamples {
+  std::vector<f64> a;
+  std::vector<f64> b;
+};
+
+/// Interleaved A/B timing: after one warmup of each, runs pairs of `a`
+/// and `b` (each returns its run's seconds) until there are at least
+/// `min_pairs` pairs and the pairs have taken at least `min_wall`
+/// seconds in all. Pairs alternate their order (ab, ba, ab, ...), so
+/// both sides see the same machine drift and neither always runs
+/// second; the wall-time floor keeps millisecond queries from being
+/// decided on a handful of samples.
+template <typename A, typename B>
+AbSamples Interleaved(A&& a, B&& b) {
+  const size_t min_pairs = ShortMode() ? 41 : 61;
+  const f64 min_wall = ShortMode() ? 1.0 : 2.0;
+  a();  // warmups
+  b();
+  AbSamples s;
+  f64 wall = 0;
+  while (s.a.size() < min_pairs || wall < min_wall) {
+    if (s.a.size() % 2 == 0) {
+      s.a.push_back(a());
+      s.b.push_back(b());
+    } else {
+      s.b.push_back(b());
+      s.a.push_back(a());
+    }
+    wall += s.a.back() + s.b.back();
+  }
+  return s;
+}
+
+/// The q-quantile (0..1) of `v` by nearest rank.
+f64 Quantile(std::vector<f64> v, f64 q) {
+  const size_t k = static_cast<size_t>(q * static_cast<f64>(v.size() - 1) +
+                                       0.5);
+  std::nth_element(v.begin(), v.begin() + k, v.end());
+  return v[k];
 }
 
 struct NamedPlan {
@@ -255,13 +286,16 @@ bool RunPlanQueries(std::vector<NamedPlan> queries, int cores,
 /// Section 4: lifecycle-governance overhead. The same Q1/Q6 plans run
 /// ungoverned (no QueryContext) and governed (far deadline + large
 /// memory budget, so every poll point and accounting charge is live but
-/// nothing ever fires). Poll points sit only at batch/morsel
-/// boundaries, so the delta should be noise (~1%); a blow-up past 10%
-/// means someone put governance in a hot loop, and the bench fails.
+/// nothing ever fires), interleaved run by run. Poll points sit only at
+/// batch/morsel boundaries, so the delta should be noise (~1%); a
+/// median governed/ungoverned ratio past 1.10 means someone put
+/// governance in a hot loop, and the bench fails. The interquartile
+/// range of the per-pair overhead prints next to the median.
 bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
                            bench::BenchJson* json) {
-  std::printf("\n%-6s %-9s %12s %12s %10s %10s\n", "query", "mode",
-              "ungoverned", "governed", "overhead", "identical");
+  std::printf("\n%-6s %-9s %6s %12s %12s %10s %19s %10s\n", "query",
+              "mode", "pairs", "ungoverned", "governed", "overhead",
+              "spread (p25..p75)", "identical");
   bool acceptable = true;
   struct ModeRow {
     const char* name;
@@ -278,31 +312,40 @@ bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
       cfg.parallel.num_threads = m.threads;
       plan::QuerySession session{cfg};
 
-      RunResult plain;
-      const f64 plain_seconds = MinSeconds([&] {
-        plain = session.Run(q.plan, m.mode);
-        return plain.seconds;
-      });
-      MA_CHECK(plain.ok());
-
       QueryContext ctx;
       ctx.SetTimeout(std::chrono::hours(1));
       ctx.SetMemoryBudget(8ULL << 30);  // 8 GiB: accounting on, no trip
+      RunResult plain;
       RunResult governed;
-      const f64 governed_seconds = MinSeconds([&] {
-        ctx.Reset();
-        governed = session.Run(q.plan, m.mode, &ctx);
-        return governed.seconds;
-      });
-      MA_CHECK(governed.ok());
+      const AbSamples s = Interleaved(
+          [&] {
+            plain = session.Run(q.plan, m.mode);
+            MA_CHECK(plain.ok());
+            return plain.seconds;
+          },
+          [&] {
+            ctx.Reset();
+            governed = session.Run(q.plan, m.mode, &ctx);
+            MA_CHECK(governed.ok());
+            return governed.seconds;
+          });
+      std::vector<f64> ratios;
+      for (size_t i = 0; i < s.a.size(); ++i) {
+        ratios.push_back(s.b[i] / s.a[i]);
+      }
 
       const bool identical =
           BitFingerprint(*governed.table) == BitFingerprint(*plain.table);
-      const f64 overhead_pct =
-          (governed_seconds / plain_seconds - 1.0) * 100.0;
+      const f64 overhead_pct = (Quantile(ratios, 0.5) - 1.0) * 100.0;
+      const f64 p25_pct = (Quantile(ratios, 0.25) - 1.0) * 100.0;
+      const f64 p75_pct = (Quantile(ratios, 0.75) - 1.0) * 100.0;
+      const f64 plain_median = Quantile(s.a, 0.5);
+      const f64 governed_median = Quantile(s.b, 0.5);
       acceptable = acceptable && identical && overhead_pct < 10.0;
-      std::printf("%-6s %-9s %12.6f %12.6f %9.2f%% %10s\n", q.name,
-                  m.name, plain_seconds, governed_seconds, overhead_pct,
+      std::printf("%-6s %-9s %6zu %12.6f %12.6f %9.2f%% %8.2f%%..%7.2f%% "
+                  "%10s\n",
+                  q.name, m.name, ratios.size(), plain_median,
+                  governed_median, overhead_pct, p25_pct, p75_pct,
                   identical ? "yes" : "NO");
       json->AddRow()
           .Str("query", q.name)
@@ -310,9 +353,12 @@ bool RunGovernanceOverhead(std::vector<NamedPlan> queries, int cores,
           .Str("exec", m.name)
           .Num("threads", m.threads)
           .Num("host_cores", cores)
-          .Num("ungoverned_seconds", plain_seconds)
-          .Num("governed_seconds", governed_seconds)
+          .Num("pairs", static_cast<f64>(ratios.size()))
+          .Num("ungoverned_seconds", plain_median)
+          .Num("governed_seconds", governed_median)
           .Num("governed_overhead_pct", overhead_pct)
+          .Num("governed_overhead_p25_pct", p25_pct)
+          .Num("governed_overhead_p75_pct", p75_pct)
           .Num("identical_to_ungoverned", identical ? 1 : 0);
     }
   }
@@ -340,21 +386,43 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
   std::vector<int> query_ids;
   std::deque<plan::LogicalPlan> plans;
   std::vector<u64> serial_fp;
+  // The per-query memory lease comes from a measurement: the baseline
+  // pass runs every query governed (accounting on, no trip), serially
+  // and staged on the server's 4 pool threads — the server runs both,
+  // since kAuto picks per plan and saturation degrades to serial. The
+  // lease is twice the largest peak seen. The headroom covers what one
+  // pass cannot see — per-worker aggregation and join-build state can
+  // depend on which morsels each worker takes — because a lease that
+  // trips would turn this throughput section into a budget test, which
+  // is robustness_test's job.
+  u64 peak = 0;
   {
     plan::SessionConfig cfg;
     cfg.engine.adaptive.mode = ExecMode::kAdaptive;
+    cfg.parallel.num_threads = 4;
     plan::QuerySession baseline{cfg};
+    QueryContext ctx;
+    ctx.SetMemoryBudget(8ULL << 30);  // 8 GiB: accounting on, no trip
     for (int q = 1; q <= 22; ++q) {
       query_ids.push_back(q);
       plans.push_back(tpch::PlanForQuery(data, q));
-      RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial);
+      ctx.Reset();
+      RunResult r = baseline.Run(plans.back(), plan::ExecMode::kSerial, &ctx);
       MA_CHECK(r.ok());
       serial_fp.push_back(BitFingerprint(*r.table));
+      peak = std::max(peak, ctx.memory_peak());
+      ctx.Reset();
+      MA_CHECK(
+          baseline.Run(plans.back(), plan::ExecMode::kParallel, &ctx).ok());
+      peak = std::max(peak, ctx.memory_peak());
     }
   }
+  const u64 query_budget = 2 * peak;
   bool serve_clean = true;
 
-  std::printf("\n%-10s %8s %8s %12s %10s %10s\n", "submitters",
+  std::printf("\nper-query lease %.1f MB (2 x the measured peak)\n",
+              static_cast<f64>(query_budget) / (1 << 20));
+  std::printf("%-10s %8s %8s %12s %10s %10s\n", "submitters",
               "queries", "ok", "seconds", "qps", "identical");
   for (const int submitters : {1, 2, 4}) {
     serve::ServerConfig sc;
@@ -363,8 +431,9 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
     sc.max_parallel_queries = 2;
     sc.admission.max_queue_depth = 1 << 20;  // admit all: pure throughput
     sc.admission.queue_deadline = std::chrono::milliseconds(0);
-    sc.memory_pool_bytes = 256ull << 20;
-    sc.default_query_budget = 32ull << 20;
+    // Every driver can hold its lease at once: leases never wait.
+    sc.memory_pool_bytes = sc.max_concurrent * query_budget;
+    sc.default_query_budget = query_budget;
     serve::WorkloadServer server{sc};
 
     std::atomic<u64> ok{0};
@@ -409,6 +478,7 @@ bool RunServeSection(const tpch::TpchData& data, int cores,
         .Num("submitters", submitters)
         .Num("host_cores", cores)
         .Num("pool_threads", 4)
+        .Num("query_budget_bytes", static_cast<f64>(query_budget))
         .Num("queries", static_cast<f64>(expected))
         .Num("queries_ok", static_cast<f64>(ok.load()))
         .Num("seconds", seconds)
@@ -707,8 +777,9 @@ int Run() {
       "Lifecycle-governance overhead: Q1 + Q6, governed vs ungoverned",
       "Governed = a live QueryContext with a far deadline and a large "
       "memory budget, so cancellation polls and memory accounting run "
-      "on every batch/morsel boundary but never fire. Expected "
-      "overhead ~1% (noise); >10% fails the bench.");
+      "on every batch/morsel boundary but never fire. Runs alternate "
+      "governed and ungoverned; expected median overhead ~1% (noise); "
+      ">10% fails the bench.");
   std::vector<NamedPlan> governed;
   governed.push_back({"q1", tpch::Q1Plan(*data)});
   governed.push_back({"q6", tpch::Q6Plan(*data)});
@@ -747,34 +818,25 @@ int Run() {
       "saturates at the physical core count (host_cores in the JSON).\n"
       "The identical column must read yes at every thread count.\n");
   json.Write();
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: multi-thread result diverged from 1-thread\n");
-    return 1;
-  }
-  if (!plans_identical) {
-    std::fprintf(stderr,
-                 "FAIL: parallel plan result diverged from serial\n");
-    return 1;
-  }
-  if (!governance_cheap) {
-    std::fprintf(stderr,
-                 "FAIL: governed run diverged or overhead exceeded 10%%\n");
-    return 1;
-  }
-  if (!serve_clean) {
-    std::fprintf(stderr,
-                 "FAIL: concurrent serving diverged from serial, shed a "
-                 "query with a table, or leaked lease bytes\n");
-    return 1;
-  }
-  if (!knowledge_clean) {
-    std::fprintf(stderr,
-                 "FAIL: warm-started serving diverged from the serial "
-                 "baseline or the persisted store failed to load\n");
-    return 1;
-  }
-  return 0;
+  // Every gate reports; the exit code fails when any of them did.
+  int rc = 0;
+  auto gate = [&rc](bool ok, const char* failure) {
+    if (!ok) {
+      std::fprintf(stderr, "FAIL: %s\n", failure);
+      rc = 1;
+    }
+  };
+  gate(all_identical, "multi-thread result diverged from 1-thread");
+  gate(plans_identical, "parallel plan result diverged from serial");
+  gate(governance_cheap,
+       "governed run diverged or median overhead exceeded 10%");
+  gate(serve_clean,
+       "concurrent serving diverged from serial, failed a query, shed a "
+       "query with a table, or leaked lease bytes");
+  gate(knowledge_clean,
+       "warm-started serving diverged from the serial baseline or the "
+       "persisted store failed to load");
+  return rc;
 }
 
 }  // namespace

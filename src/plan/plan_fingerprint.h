@@ -47,7 +47,7 @@ PlanFingerprint FingerprintPlan(const LogicalPlan& plan);
 /// table pointers included — the key the compiler's automatic CSE uses
 /// to detect structurally identical subtrees. Labels are display-only
 /// prefixes for primitive-instance names (the same pipeline built twice
-/// under "q14/promo" and "q14" must still merge); table pointers keep
+/// under "q2/min" and "q2" must still merge); table pointers keep
 /// same-shaped subtrees over different tables apart.
 std::string SubtreeCanon(const PlanNode& n);
 

@@ -153,6 +153,9 @@ RunResult QuerySession::RunSerial(const LogicalPlan& plan,
                                  QueryContext* ctx) {
   engine_.ResetProfile();
   engine_.set_context(ctx);
+  // The clock and the primitive total span compile + run: CompileSerial
+  // eagerly executes shared subplans and scalar subqueries on the engine.
+  const u64 t0 = CycleClock::Now();
   RunResult r;
   OperatorPtr root = Compiler::CompileSerial(plan, &engine_);
   if (root != nullptr) {
@@ -160,6 +163,9 @@ RunResult QuerySession::RunSerial(const LogicalPlan& plan,
   } else {
     r = FailedResult(ctx);  // compile recorded the error on ctx
   }
+  r.total_cycles = CycleClock::Now() - t0;
+  r.seconds = static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();
+  r.stages.primitives = engine_.TotalPrimitiveCycles();
   engine_.set_context(nullptr);
   return r;
 }

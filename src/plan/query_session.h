@@ -72,7 +72,10 @@ class QuerySession {
   /// context, reset per run, keeps error state from leaking between
   /// queries). A failed run's RunResult carries the first error and its
   /// TerminationReason, its table is null, and the session is reusable
-  /// for the next query as if freshly constructed.
+  /// for the next query as if freshly constructed. Its seconds,
+  /// total_cycles and stages.primitives cover all of the query's
+  /// execution in either mode, scalar subqueries and shared subplans
+  /// included (serial compilation runs those, so it is timed too).
   ///
   /// `staged` is an optional precompiled stage-DAG for `plan` (the plan
   /// cache hands in the StagePlan it compiled from its own clone of an

@@ -502,11 +502,10 @@ plan::LogicalPlan Q12Plan(const TpchData& d) {
 }
 
 plan::LogicalPlan Q2Plan(const TpchData& d) {
-  // The joined (partsupp x filtered part x European supplier) table.
-  // Plans are trees, so the pipeline is built once per use: once under
-  // the per-part min aggregation and once as the probe of the
-  // min-filter join (same duplication as Q14's base; a shared-subplan
-  // node would remove it — ROADMAP).
+  // The joined (partsupp x filtered part x European supplier) table,
+  // built once per use: under the per-part min aggregation and as the
+  // probe of the min-filter join. The compiler's automatic CSE unifies
+  // the two copies, so the pipeline runs once.
   auto joined = [&d](const std::string& label) {
     HashJoinSpec sj;
     sj.build_key = "n_nationkey";
@@ -811,65 +810,48 @@ plan::LogicalPlan Q22Plan(const TpchData& d) {
 }
 
 plan::LogicalPlan Q14Plan(const TpchData& d) {
-  // promo and total revenue are both single-group aggregates; grouping
-  // them on a constant key ("one") makes the pair joinable, and the
-  // share computes in the projection above the join — no scalar
-  // post-processing outside the plan.
+  // Like Q8: a CASE projection zeroes non-PROMO revenue so one key-less
+  // aggregation carries both sums, and the share divides in the
+  // projection above it. A global aggregate always emits its one group,
+  // and the CASE guards the zero total, so every shipdate window
+  // (an empty one included) yields exactly one finite row.
   //
-  // Plans are trees, so the shipdate-filter + part-join pipeline below
-  // both aggregates is built (and executed) once per side. The old
-  // hand-built query shared one temp table instead; recovering that
-  // sharing needs common-subplan nodes in the plan layer (ROADMAP).
-  auto base = [&d](const std::string& label) {
-    HashJoinSpec pj;
-    pj.build_key = "p_partkey";
-    pj.probe_key = "l_partkey";
-    pj.build_outputs = {{"p_type_code", "p_type_code"}};
-    pj.probe_outputs = {"l_extendedprice", "l_discount"};
-    std::vector<Out> outs;
-    outs.push_back({"p_type_code", Col("p_type_code")});
-    outs.push_back({"revenue", Revenue()});
-    outs.push_back({"one", Add(Mul(Col("p_type_code"), Lit(0)), Lit(1))});
-    PlanBuilder b = PlanBuilder::Scan(
-        d.lineitem,
-        {"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"},
-        label + "/lineitem_scan");
-    b.Filter(RangeI64("l_shipdate", Date(1995, 9, 1), Date(1995, 10, 1)),
-             label + "/select")
-        .HashJoin(PlanBuilder::Scan(d.part, {"p_partkey", "p_type_code"},
-                                    label + "/part_scan"),
-                  pj, label + "/part_join")
-        .Project(std::move(outs), label + "/project");
-    return b;
-  };
-
   // PROMO types occupy type codes [promo_lo, promo_lo + 25).
   const i64 promo_lo = CodeOf(TypeSyllable1(), "PROMO") * 25;
-  std::vector<Agg> pa;
-  pa.push_back(MakeAgg("sum", Col("revenue"), "promo"));
-  PlanBuilder promo = base("q14/promo");
-  promo
-      .Filter(RangeI64("p_type_code", promo_lo, promo_lo + 25),
-              "q14/promo_filter")
-      .GroupBy({GK{"one", 1}}, {"one"}, std::move(pa), "q14/promo_agg");
-
-  std::vector<Agg> ta;
-  ta.push_back(MakeAgg("sum", Col("revenue"), "total"));
-
-  HashJoinSpec fj;
-  fj.build_key = "one";
-  fj.probe_key = "one";
-  fj.build_outputs = {{"promo", "promo"}};
-  fj.probe_outputs = {"total"};
+  HashJoinSpec pj;
+  pj.build_key = "p_partkey";
+  pj.probe_key = "l_partkey";
+  pj.build_outputs = {{"p_type_code", "p_type_code"}};
+  pj.probe_outputs = {"l_extendedprice", "l_discount"};
 
   std::vector<Out> outs;
-  outs.push_back({"promo_revenue",
-                  Div(Mul(Col("promo"), Lit(100.0)), Col("total"))});
+  outs.push_back({"revenue", Revenue()});
+  outs.push_back({"promo_rev",
+                  Case(RangeI64("p_type_code", promo_lo, promo_lo + 25),
+                       Revenue(), Lit(0.0))});
 
-  return base("q14")
-      .GroupBy({GK{"one", 1}}, {"one"}, std::move(ta), "q14/total_agg")
-      .HashJoin(std::move(promo), fj, "q14/share_join")
-      .Project(std::move(outs), "q14/share")
+  std::vector<Agg> aggs;
+  aggs.push_back(MakeAgg("sum", Col("promo_rev"), "promo"));
+  aggs.push_back(MakeAgg("sum", Col("revenue"), "total"));
+
+  std::vector<Out> fouts;
+  fouts.push_back(
+      {"promo_revenue",
+       Case(Eq(Col("total"), Lit(0.0)), Lit(0.0),
+            Div(Mul(Col("promo"), Lit(100.0)), Col("total")))});
+
+  return PlanBuilder::Scan(
+             d.lineitem,
+             {"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"},
+             "q14/lineitem_scan")
+      .Filter(RangeI64("l_shipdate", Date(1995, 9, 1), Date(1995, 10, 1)),
+              "q14/select")
+      .HashJoin(PlanBuilder::Scan(d.part, {"p_partkey", "p_type_code"},
+                                  "q14/part_scan"),
+                pj, "q14/part_join")
+      .Project(std::move(outs), "q14/project")
+      .GroupBy({}, {}, std::move(aggs), "q14/agg")
+      .Project(std::move(fouts), "q14/share")
       .Build();
 }
 

@@ -1,15 +1,15 @@
 // All 22 TPC-H queries expressed as logical plans. Written once
 // against PlanBuilder, these run unchanged on the serial Engine and on
 // the staged morsel-driven executor (plan/query_session.h). Plans may
-// aggregate below joins (Q10, Q12, Q14), re-aggregate an aggregation
-// (Q16, Q21), merge-join inside a plan (Q12), fold scalar-subquery
-// results into predicates (Q11, Q15, Q22), patch probe misses with a
-// LEFT OUTER join (Q13), compute CASE/substring value expressions in
-// projections (Q8, Q22), and share one subplan across several
+// aggregate below joins (Q10, Q12), re-aggregate an aggregation (Q16,
+// Q21), merge-join inside a plan (Q12), fold scalar-subquery results
+// into predicates (Q11, Q15, Q22), patch probe misses with a LEFT
+// OUTER join (Q13), compute CASE/substring value expressions in
+// projections (Q8, Q14, Q22), and share one subplan across several
 // consumers — explicitly with PlanBuilder::BindShared (Q21's late
 // lines) or implicitly via the compiler's automatic deduplication of
-// structurally identical subtrees (Q2/Q11/Q14/Q15/Q17/Q22's
-// twice-built pipelines).
+// structurally identical subtrees (Q2/Q11/Q15/Q17/Q22's twice-built
+// pipelines).
 #ifndef MA_TPCH_PLANS_H_
 #define MA_TPCH_PLANS_H_
 
@@ -127,8 +127,11 @@ plan::LogicalPlan Q22Plan(const TpchData& d);
 /// merge, and hash-joins the high-priority counts against the totals.
 plan::LogicalPlan Q12Plan(const TpchData& d);
 
-/// Q14: promotion effect. Promo and total revenue aggregated on a
-/// constant key and joined — both hash-join sides fed by aggregations.
+/// Q14: promotion effect. A CASE projection zeroes non-PROMO revenue so
+/// one key-less aggregation carries both the promo and the total sum;
+/// the share divides in the projection above it, guarded against a
+/// zero total. Every shipdate window, an empty one included, yields
+/// exactly one finite row.
 plan::LogicalPlan Q14Plan(const TpchData& d);
 
 /// The ported plan for query `q`. Precondition: 1 <= q <= 22 (checked).

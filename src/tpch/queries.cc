@@ -1,60 +1,8 @@
 #include "tpch/queries.h"
 
-#include <cmath>
-
-#include "common/cycleclock.h"
-
-#include "plan/compiler.h"
-#include "tpch/plans.h"
+#include "common/status.h"
 
 namespace ma::tpch {
-namespace {
-
-// =====================================================================
-// Every query is expressed once as a logical plan (tpch/plans.cc) and
-// lowered onto this engine; the same plans run stage-parallel through
-// plan::QuerySession. RunPlan is the serial lowering shared by all of
-// them.
-// =====================================================================
-RunResult RunPlan(Engine* e, const plan::LogicalPlan& p) {
-  MA_CHECK(p.ok());
-  auto root = plan::Compiler::CompileSerial(p, e);
-  if (root == nullptr) {
-    // A failed scalar subquery: the compiler recorded the error on the
-    // engine's context.
-    RunResult r;
-    r.status = e->context()->status();
-    if (r.status.ok()) r.status = Status::Internal("plan compilation failed");
-    r.reason = ReasonFromStatus(r.status);
-    return r;
-  }
-  return e->Run(*root);
-}
-
-// =====================================================================
-// Q14: promotion effect — the plan's division has no zero guard, so
-// keep the historical contract for degenerate data windows.
-// =====================================================================
-RunResult Q14(Engine* e, const TpchData& d) {
-  RunResult r = RunPlan(e, Q14Plan(d));
-  // Degenerate windows lose the plan's division guard: an empty date
-  // window joins to zero rows, and an all-zero revenue total divides to
-  // inf/NaN. Keep the historical contract of one finite zero row
-  // (callers index row 0 of the single-value result).
-  const bool ok = r.table->row_count() == 1 &&
-                  std::isfinite(r.table->FindColumn("promo_revenue")
-                                    ->Data<f64>()[0]);
-  if (!ok) {
-    r.table = std::make_unique<Table>("result");
-    r.table->AddColumn("promo_revenue", PhysicalType::kF64)
-        ->Append<f64>(0.0);
-    r.table->set_row_count(1);
-    r.rows_emitted = 1;
-  }
-  return r;
-}
-
-}  // namespace
 
 const char* QueryName(int q) {
   static const char* kNames[23] = {
@@ -72,31 +20,6 @@ const char* QueryName(int q) {
       "Q21 suppliers kept waiting", "Q22 global sales opportunity"};
   MA_CHECK(q >= 1 && q <= kNumQueries);
   return kNames[q];
-}
-
-namespace {
-
-RunResult DispatchQuery(Engine* e, const TpchData& d, int q) {
-  MA_CHECK(q >= 1 && q <= kNumQueries);
-  if (q == 14) return Q14(e, d);
-  return RunPlan(e, PlanForQuery(d, q));
-}
-
-}  // namespace
-
-RunResult RunQuery(Engine* e, const TpchData& d, int q) {
-  // Per-query time and the primitive-cycle total must cover the whole
-  // compilation + execution (including scalar subqueries and shared
-  // subplans the serial compiler runs eagerly), so measure around the
-  // whole query here rather than relying on the last stage's RunResult.
-  const u64 prim0 = e->TotalPrimitiveCycles();
-  const u64 t0 = CycleClock::Now();
-  RunResult r = DispatchQuery(e, d, q);
-  r.total_cycles = CycleClock::Now() - t0;
-  r.seconds =
-      static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();
-  r.stages.primitives = e->TotalPrimitiveCycles() - prim0;
-  return r;
 }
 
 }  // namespace ma::tpch

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "common/cycleclock.h"
 #include "plan/query_session.h"
 #include "storage/table_fingerprint.h"
 #include "tpch/plans.h"
@@ -80,11 +79,7 @@ ModeRun RunAllQueries(const EngineConfig& config, const TpchData& data,
     sc.engine = config;
     plan::QuerySession session(sc, &PrimitiveDictionary::Global());
     const plan::LogicalPlan p = PlanForQuery(data, q);
-    const u64 t0 = CycleClock::Now();
-    RunResult r = session.Run(p, plan::ExecMode::kSerial);
-    r.total_cycles = CycleClock::Now() - t0;
-    r.seconds = static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();
-    r.stages.primitives = session.engine()->TotalPrimitiveCycles();
+    const RunResult r = session.Run(p, plan::ExecMode::kSerial);
     run.query_seconds[q - 1] = r.seconds;
     HarvestProfiles(*session.engine(), &run.instances[q - 1]);
     if (!quiet) {

@@ -23,6 +23,14 @@
 namespace ma::tpch {
 namespace {
 
+/// Runs query `q` serially through a fresh QuerySession under `cfg`.
+RunResult RunSerial(const TpchData& d, int q, const EngineConfig& cfg) {
+  plan::SessionConfig sc;
+  sc.engine = cfg;
+  plan::QuerySession session(sc);
+  return session.Run(PlanForQuery(d, q), plan::ExecMode::kSerial);
+}
+
 class QueriesTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -36,8 +44,7 @@ class QueriesTest : public ::testing::Test {
   }
 
   static RunResult Run(int q, const EngineConfig& cfg) {
-    Engine engine(cfg);
-    return RunQuery(&engine, *data_, q);
+    return RunSerial(*data_, q, cfg);
   }
 
   static TpchData* data_;
@@ -304,6 +311,76 @@ TEST_F(StagedQueriesTest, Q22ByteIdenticalStaged) {
   ExpectStagedParity(Q22Plan(*data_), "Q22");
 }
 
+// --- Q14 over degenerate shipdate windows ---
+
+/// Runs Q14 over `lineitem` (the four columns Q14 scans) and the real
+/// part table: serial must give exactly one row promo_revenue == 0.0,
+/// and staged must match it byte for byte at 1/2/4 threads.
+void ExpectQ14ZeroRow(const TpchData& real, Table* lineitem,
+                      const char* what) {
+  TpchData d;
+  d.part = real.part;
+  d.lineitem = lineitem;
+  const plan::LogicalPlan plan = Q14Plan(d);
+  plan::QuerySession session;
+  const RunResult r = session.Run(plan, plan::ExecMode::kSerial);
+  ASSERT_TRUE(r.status.ok()) << what << ": " << r.status.message();
+  ASSERT_EQ(r.table->row_count(), 1u) << what;
+  const Column* share = r.table->FindColumn("promo_revenue");
+  ASSERT_NE(share, nullptr) << what;
+  EXPECT_EQ(share->Data<f64>()[0], 0.0) << what;
+  ExpectStagedParity(plan, what);
+}
+
+Table Q14Lineitem() {
+  Table t("lineitem");
+  t.AddColumn("l_partkey", PhysicalType::kI64);
+  t.AddColumn("l_extendedprice", PhysicalType::kF64);
+  t.AddColumn("l_discount", PhysicalType::kF64);
+  t.AddColumn("l_shipdate", PhysicalType::kI64);
+  return t;
+}
+
+TEST_F(StagedQueriesTest, Q14EmptyWindowYieldsOneZeroRow) {
+  // No lineitem rows at all: the window selects nothing.
+  Table lineitem = Q14Lineitem();
+  ExpectQ14ZeroRow(*data_, &lineitem, "Q14 empty window");
+}
+
+TEST_F(StagedQueriesTest, Q14ZeroRevenueWindowYieldsOneZeroRow) {
+  // Rows inside the window whose revenue is zero: the total is 0.0, so
+  // the share must not divide by it.
+  Table lineitem = Q14Lineitem();
+  const i64* partkeys = data_->part->FindColumn("p_partkey")->Data<i64>();
+  for (size_t i = 0; i < 3; ++i) {
+    lineitem.FindMutableColumn("l_partkey")->Append<i64>(partkeys[i]);
+    lineitem.FindMutableColumn("l_extendedprice")->Append<f64>(0.0);
+    lineitem.FindMutableColumn("l_discount")->Append<f64>(0.05);
+    lineitem.FindMutableColumn("l_shipdate")
+        ->Append<i64>(Date(1995, 9, 10));
+  }
+  lineitem.set_row_count(3);
+  ExpectQ14ZeroRow(*data_, &lineitem, "Q14 zero-revenue window");
+}
+
+// --- serial timing covers the whole query ---
+
+TEST_F(QueriesTest, SerialRunResultCoversSubqueriesAndSharedSubplans) {
+  // These plans carry scalar subqueries (Q11, Q15, Q22) or a shared
+  // subplan (Q21), which the serial compiler runs before the root
+  // operator tree. The RunResult must account for that work too: its
+  // primitive total is every cycle the session's engine spent.
+  for (const int q : {11, 15, 21, 22}) {
+    plan::QuerySession session;
+    const RunResult r =
+        session.Run(PlanForQuery(*data_, q), plan::ExecMode::kSerial);
+    ASSERT_TRUE(r.status.ok()) << "Q" << q;
+    EXPECT_EQ(r.stages.primitives, session.engine()->TotalPrimitiveCycles())
+        << "Q" << q;
+    EXPECT_GE(r.total_cycles, r.stages.primitives) << "Q" << q;
+  }
+}
+
 // --- golden fingerprints: results pinned against a checked-in table ---
 //
 // StagedQueriesTest proves serial and staged agree with *each other*;
@@ -444,8 +521,7 @@ TEST_P(AllQueriesAllModesTest, ResultsIdenticalAcrossModes) {
            {"fission", ForcedConfig("fission")},
            {"heuristic", HeuristicConfig()},
            {"adaptive", AdaptiveConfig()}}) {
-    Engine engine(ecfg);
-    const RunResult r = RunQuery(&engine, *data, q);
+    const RunResult r = RunSerial(*data, q, ecfg);
     ASSERT_NE(r.table, nullptr) << name;
     const std::string fp = TableFingerprint(*r.table);
     if (reference.empty()) {
