@@ -148,12 +148,10 @@ u64 BitFingerprint(const Table& t) {
   return h;
 }
 
-/// CI smoke mode: MA_BENCH_SHORT=1 shrinks scale factor and reps so
-/// the bench finishes in seconds with all hard guards still armed.
-bool ShortMode() {
-  static const bool v = std::getenv("MA_BENCH_SHORT") != nullptr;
-  return v;
-}
+using bench::AbSamples;
+using bench::Interleaved;
+using bench::Quantile;
+using bench::ShortMode;
 
 /// Median seconds over `reps` runs after one warmup. reps <= 0 picks
 /// the default (5, or 3 in short mode).
@@ -166,48 +164,6 @@ f64 MedianSeconds(F&& run, int reps = 0) {
   std::nth_element(samples.begin(), samples.begin() + reps / 2,
                    samples.end());
   return samples[static_cast<size_t>(reps / 2)];
-}
-
-/// Seconds of interleaved A/B runs; pair i is (a[i], b[i]).
-struct AbSamples {
-  std::vector<f64> a;
-  std::vector<f64> b;
-};
-
-/// Interleaved A/B timing: after one warmup of each, runs pairs of `a`
-/// and `b` (each returns its run's seconds) until there are at least
-/// `min_pairs` pairs and the pairs have taken at least `min_wall`
-/// seconds in all. Pairs alternate their order (ab, ba, ab, ...), so
-/// both sides see the same machine drift and neither always runs
-/// second; the wall-time floor keeps millisecond queries from being
-/// decided on a handful of samples.
-template <typename A, typename B>
-AbSamples Interleaved(A&& a, B&& b) {
-  const size_t min_pairs = ShortMode() ? 41 : 61;
-  const f64 min_wall = ShortMode() ? 1.0 : 2.0;
-  a();  // warmups
-  b();
-  AbSamples s;
-  f64 wall = 0;
-  while (s.a.size() < min_pairs || wall < min_wall) {
-    if (s.a.size() % 2 == 0) {
-      s.a.push_back(a());
-      s.b.push_back(b());
-    } else {
-      s.b.push_back(b());
-      s.a.push_back(a());
-    }
-    wall += s.a.back() + s.b.back();
-  }
-  return s;
-}
-
-/// The q-quantile (0..1) of `v` by nearest rank.
-f64 Quantile(std::vector<f64> v, f64 q) {
-  const size_t k = static_cast<size_t>(q * static_cast<f64>(v.size() - 1) +
-                                       0.5);
-  std::nth_element(v.begin(), v.begin() + k, v.end());
-  return v[k];
 }
 
 struct NamedPlan {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <variant>
@@ -32,6 +33,55 @@ inline f64 MeasureCyclesPerTuple(PrimFn fn, PrimCall& call, u64 tuples,
   std::nth_element(samples.begin(), samples.begin() + reps / 2,
                    samples.end());
   return static_cast<f64>(samples[reps / 2]) / static_cast<f64>(tuples);
+}
+
+/// CI smoke mode: MA_BENCH_SHORT=1 shrinks scale factor and reps so
+/// the bench finishes in seconds with all hard guards still armed.
+inline bool ShortMode() {
+  static const bool v = std::getenv("MA_BENCH_SHORT") != nullptr;
+  return v;
+}
+
+/// Seconds of interleaved A/B runs; pair i is (a[i], b[i]).
+struct AbSamples {
+  std::vector<f64> a;
+  std::vector<f64> b;
+};
+
+/// Interleaved A/B timing: after one warmup of each, runs pairs of `a`
+/// and `b` (each returns its run's seconds) until there are at least
+/// `min_pairs` pairs and the pairs have taken at least `min_wall`
+/// seconds in all. Pairs alternate their order (ab, ba, ab, ...), so
+/// both sides see the same machine drift and neither always runs
+/// second; the wall-time floor keeps millisecond queries from being
+/// decided on a handful of samples.
+template <typename A, typename B>
+AbSamples Interleaved(A&& a, B&& b) {
+  const size_t min_pairs = ShortMode() ? 41 : 61;
+  const f64 min_wall = ShortMode() ? 1.0 : 2.0;
+  a();  // warmups
+  b();
+  AbSamples s;
+  f64 wall = 0;
+  while (s.a.size() < min_pairs || wall < min_wall) {
+    if (s.a.size() % 2 == 0) {
+      s.a.push_back(a());
+      s.b.push_back(b());
+    } else {
+      s.b.push_back(b());
+      s.a.push_back(a());
+    }
+    wall += s.a.back() + s.b.back();
+  }
+  return s;
+}
+
+/// The q-quantile (0..1) of `v` by nearest rank.
+inline f64 Quantile(std::vector<f64> v, f64 q) {
+  const size_t k = static_cast<size_t>(q * static_cast<f64>(v.size() - 1) +
+                                       0.5);
+  std::nth_element(v.begin(), v.begin() + k, v.end());
+  return v[k];
 }
 
 inline void PrintHeader(const std::string& what, const std::string& why) {

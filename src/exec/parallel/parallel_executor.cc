@@ -55,14 +55,83 @@ ParallelExecutor::ParallelExecutor(EngineConfig engine_config,
 
 ParallelExecutor::~ParallelExecutor() = default;
 
-QueryContext* ParallelExecutor::ResetEngines() {
-  if (context_ == &own_context_) own_context_.Reset();
+void ParallelExecutor::set_context(QueryContext* ctx) {
+  context_ = ctx != nullptr ? ctx : &own_context_;
+  if (ctx != nullptr) {
+    BuildEngines();
+  } else {
+    // The finished query's engines stay readable (engines(),
+    // MergedProfile()) but must not keep its context.
+    for (auto& eng : engines_) eng->set_context(nullptr);
+  }
+}
+
+void ParallelExecutor::BuildEngines() {
   engines_.clear();
   for (int w = 0; w < num_threads(); ++w) {
     engines_.push_back(std::make_unique<Engine>(engine_config_, dict_));
     engines_.back()->set_context(context_);
   }
-  return context_;
+}
+
+ParallelExecutor::RunStart ParallelExecutor::BeginRun(const char* site) {
+  if (context_ == &own_context_) {
+    // Unbound: this run is a query of its own.
+    own_context_.Reset();
+    BuildEngines();
+  }
+  RunStart start{context_, CycleClock::Now(), TotalPrimitiveCycles()};
+  context_->MaybeInjectFault(site);
+  return start;
+}
+
+RunResult ParallelExecutor::EndRun(const RunStart& start, u64 t_exec,
+                                   RunResult r) const {
+  r.status = start.ctx->status();
+  r.reason = ReasonFromStatus(r.status);
+  if (!r.status.ok()) r.table = nullptr;
+  const u64 t_end = CycleClock::Now();
+  r.stages.execute = t_exec - start.t0;
+  r.stages.primitives = TotalPrimitiveCycles() - start.primitives;
+  r.stages.postprocess = t_end - t_exec;
+  r.total_cycles = t_end - start.t0;
+  r.seconds = static_cast<f64>(r.total_cycles) / CycleClock::FrequencyHz();
+  return r;
+}
+
+void ParallelExecutor::DrainPipelines(
+    const Table* table, const std::vector<std::string>& scan_columns,
+    const PipelineFactory& factory, MorselQueue* queue, int workers,
+    const char* alloc_site, QueryContext* ctx,
+    const std::function<void(size_t, const Batch&)>& sink) {
+  const bool accounted = ctx->accounting_enabled();
+  Status pool_status = pool_->Run([&](int w) {
+    if (w >= workers || ctx->ShouldStop()) return;
+    Engine* engine = engines_[w].get();
+    auto scan = std::make_unique<MorselScanOperator>(engine, table,
+                                                     scan_columns, queue, w);
+    MorselScanOperator* scan_leaf = scan.get();
+    OperatorPtr root = factory(engine, std::move(scan));
+    Status open = root->Open();
+    if (!open.ok()) {
+      ctx->Fail(std::move(open));
+      return;
+    }
+    Batch batch;
+    for (;;) {
+      batch.Clear();
+      if (!root->Next(&batch)) break;
+      if (batch.live_count() == 0) continue;
+      if (accounted &&
+          !ctx->ReserveMemory(alloc_site, ApproxBatchBytes(batch)).ok()) {
+        return;
+      }
+      // The pipeline is pull-based and holds no batches back, so this
+      // output belongs to the morsel the scan leaf emitted last.
+      sink(scan_leaf->current_morsel(), batch);
+    }
+  }, task_tag_);
+  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
 }
 
 u64 ParallelExecutor::TotalPrimitiveCycles() const {
@@ -109,9 +178,8 @@ RunResult ParallelExecutor::RunPipelineImpl(
     const Table* table, std::vector<std::string> scan_columns,
     const PipelineFactory& factory, Table* sink, const StageHints& hints) {
   MA_CHECK(table != nullptr);
-  QueryContext* ctx = ResetEngines();
-  const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/pipeline");
+  const RunStart start = BeginRun("parallel/pipeline");
+  QueryContext* ctx = start.ctx;
 
   const int workers = ResolveWorkers(hints);
   MorselQueue queue(table->row_count(), parallel_config_.morsel_size, workers,
@@ -121,60 +189,23 @@ RunResult ParallelExecutor::RunPipelineImpl(
   // index order afterwards makes the result independent of thread count
   // and stealing.
   std::vector<std::unique_ptr<Table>> morsel_out(queue.num_morsels());
-  const bool accounted = ctx->accounting_enabled();
-
-  Status pool_status = pool_->Run([&](int w) {
-    if (w >= workers || ctx->ShouldStop()) return;
-    Engine* engine = engines_[w].get();
-    auto scan = std::make_unique<MorselScanOperator>(
-        engine, table, scan_columns, &queue, w);
-    MorselScanOperator* scan_leaf = scan.get();
-    OperatorPtr root = factory(engine, std::move(scan));
-    Status open = root->Open();
-    if (!open.ok()) {
-      ctx->Fail(std::move(open));
-      return;
-    }
-    Batch batch;
-    for (;;) {
-      batch.Clear();
-      if (!root->Next(&batch)) break;
-      if (batch.live_count() == 0) continue;
-      if (accounted &&
-          !ctx->ReserveMemory("alloc/pipeline", ApproxBatchBytes(batch))
-               .ok()) {
-        return;
-      }
-      // The pipeline is pull-based and holds no batches back, so this
-      // output belongs to the morsel the scan leaf emitted last.
-      const size_t m = scan_leaf->current_morsel();
-      if (morsel_out[m] == nullptr) {
-        morsel_out[m] = std::make_unique<Table>("morsel");
-      }
-      AppendBatchToTable(batch, morsel_out[m].get());
-    }
-  }, task_tag_);
-  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+  DrainPipelines(table, scan_columns, factory, &queue, workers,
+                 "alloc/pipeline", ctx, [&](size_t m, const Batch& batch) {
+                   if (morsel_out[m] == nullptr) {
+                     morsel_out[m] = std::make_unique<Table>("morsel");
+                   }
+                   AppendBatchToTable(batch, morsel_out[m].get());
+                 });
   const u64 t_exec = CycleClock::Now();
 
   RunResult result;
-  result.status = ctx->status();
-  result.reason = ReasonFromStatus(result.status);
-  if (result.status.ok()) {
+  if (ctx->status().ok()) {
     for (const auto& part : morsel_out) {
       if (part != nullptr) AppendTableRows(*part, sink);
     }
     result.rows_emitted = sink->row_count();
   }
-
-  const u64 t_end = CycleClock::Now();
-  result.stages.execute = t_exec - t0;
-  result.stages.primitives = TotalPrimitiveCycles();
-  result.stages.postprocess = t_end - t_exec;
-  result.total_cycles = t_end - t0;
-  result.seconds =
-      static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
-  return result;
+  return EndRun(start, t_exec, std::move(result));
 }
 
 std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
@@ -182,8 +213,7 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
     const PipelineFactory& factory, const HashJoinSpec& spec,
     const StageHints& hints) {
   MA_CHECK(build_table != nullptr);
-  QueryContext* ctx = ResetEngines();
-  ctx->MaybeInjectFault("parallel/build");
+  QueryContext* ctx = BeginRun("parallel/build").ctx;
 
   const int workers = ResolveWorkers(hints);
   MorselQueue queue(build_table->row_count(), parallel_config_.morsel_size,
@@ -193,35 +223,11 @@ std::unique_ptr<SharedJoinBuild> ParallelExecutor::BuildJoin(
     std::vector<std::unique_ptr<Column>> cols;
   };
   std::vector<BuildPartial> partials(queue.num_morsels());
-  const bool accounted = ctx->accounting_enabled();
-
-  Status pool_status = pool_->Run([&](int w) {
-    if (w >= workers || ctx->ShouldStop()) return;
-    Engine* engine = engines_[w].get();
-    auto scan = std::make_unique<MorselScanOperator>(
-        engine, build_table, scan_columns, &queue, w);
-    MorselScanOperator* scan_leaf = scan.get();
-    OperatorPtr root = factory(engine, std::move(scan));
-    Status open = root->Open();
-    if (!open.ok()) {
-      ctx->Fail(std::move(open));
-      return;
-    }
-    Batch batch;
-    for (;;) {
-      batch.Clear();
-      if (!root->Next(&batch)) break;
-      if (batch.live_count() == 0) continue;
-      if (accounted &&
-          !ctx->ReserveMemory("alloc/build", ApproxBatchBytes(batch)).ok()) {
-        return;
-      }
-      BuildPartial& part = partials[scan_leaf->current_morsel()];
-      HashJoinOperator::DrainBuildBatch(batch, spec, &part.keys,
-                                        &part.cols);
-    }
-  }, task_tag_);
-  if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
+  DrainPipelines(build_table, scan_columns, factory, &queue, workers,
+                 "alloc/build", ctx, [&](size_t m, const Batch& batch) {
+                   HashJoinOperator::DrainBuildBatch(
+                       batch, spec, &partials[m].keys, &partials[m].cols);
+                 });
   // A failed build is useless (and possibly partial): report through
   // the context and hand the caller nothing to probe.
   if (!ctx->status().ok()) return nullptr;
@@ -293,9 +299,8 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
                                    const AggPlan& plan,
                                    const StageHints& hints) {
   MA_CHECK(table != nullptr);
-  QueryContext* ctx = ResetEngines();
-  const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/agg");
+  const RunStart start = BeginRun("parallel/agg");
+  QueryContext* ctx = start.ctx;
 
   const int workers = ResolveWorkers(hints);
   MorselQueue queue(table->row_count(), parallel_config_.morsel_size, workers,
@@ -316,7 +321,7 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     }
     aggs[w] = std::make_unique<HashAggOperator>(
         engine, std::move(child), plan.group_keys, plan.group_outputs,
-        std::move(specs), "parallel/agg");
+        std::move(specs), plan.label.empty() ? "parallel/agg" : plan.label);
     // Open() drains this worker's share of the morsels — the
     // thread-local pre-aggregation. It polls the context per batch and
     // charges "alloc/agg" growth itself.
@@ -325,17 +330,7 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
   }, task_tag_);
   if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
   const u64 t_exec = CycleClock::Now();
-  if (!ctx->status().ok()) {
-    RunResult result;
-    result.status = ctx->status();
-    result.reason = ReasonFromStatus(result.status);
-    result.stages.execute = t_exec - t0;
-    result.stages.primitives = TotalPrimitiveCycles();
-    result.total_cycles = CycleClock::Now() - t0;
-    result.seconds =
-        static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
-    return result;
-  }
+  if (!ctx->status().ok()) return EndRun(start, t_exec, RunResult());
 
   // --- Two-phase merge of the thread-local partials (agg_merge.h) ----
   // Workers past the hinted count never built an operator; skip them.
@@ -398,25 +393,13 @@ RunResult ParallelExecutor::RunAgg(const Table* table,
     merger.Fold(partitions.begin(p), partitions.end(p), row_begin[p],
                 result.table.get(), &strings[p]);
   });
-  result.status = ctx->status();
-  result.reason = ReasonFromStatus(result.status);
-  if (result.status.ok()) {
+  if (ctx->status().ok()) {
     for (const auto& cells : strings) {
       merger.AppendStrings(cells, result.table.get());
     }
     result.rows_emitted = result.table->row_count();
-  } else {
-    result.table = nullptr;
   }
-
-  const u64 t_end = CycleClock::Now();
-  result.stages.execute = t_exec - t0;
-  result.stages.primitives = TotalPrimitiveCycles();
-  result.stages.postprocess = t_end - t_exec;
-  result.total_cycles = t_end - t0;
-  result.seconds =
-      static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
-  return result;
+  return EndRun(start, t_exec, std::move(result));
 }
 
 RunResult ParallelExecutor::RunTopN(const Table* table,
@@ -426,9 +409,8 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   MA_CHECK(table != nullptr);
   MA_CHECK(limit > 0);
   MA_CHECK(!keys.empty());
-  QueryContext* ctx = ResetEngines();
-  const u64 t0 = CycleClock::Now();
-  ctx->MaybeInjectFault("parallel/topn");
+  const RunStart start = BeginRun("parallel/topn");
+  QueryContext* ctx = start.ctx;
 
   std::vector<const Column*> key_cols;
   for (const SortKey& k : keys) {
@@ -471,16 +453,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   if (!pool_status.ok()) ctx->Fail(std::move(pool_status));
   const u64 t_exec = CycleClock::Now();
 
-  RunResult result;
-  if (!ctx->status().ok()) {
-    result.status = ctx->status();
-    result.reason = ReasonFromStatus(result.status);
-    result.stages.execute = t_exec - t0;
-    result.total_cycles = CycleClock::Now() - t0;
-    result.seconds =
-        static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
-    return result;
-  }
+  if (!ctx->status().ok()) return EndRun(start, t_exec, RunResult());
 
   // Ordered merge: the exact rows and order a serial sort+limit yields.
   std::vector<u64> order;
@@ -490,6 +463,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   std::sort(order.begin(), order.end(), less);
   if (order.size() > limit) order.resize(limit);
 
+  RunResult result;
   result.table = std::make_unique<Table>("result");
   std::vector<sel_t> sel(order.begin(), order.end());
   std::vector<std::string> all_cols;
@@ -505,14 +479,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
         "alloc/sort", (sel.size() + 1) * out_cols->size() * sizeof(u64));
     if (!charge.ok()) {
       ctx->Fail(std::move(charge));
-      result.table = nullptr;
-      result.status = ctx->status();
-      result.reason = ReasonFromStatus(result.status);
-      result.stages.execute = t_exec - t0;
-      result.total_cycles = CycleClock::Now() - t0;
-      result.seconds =
-          static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
-      return result;
+      return EndRun(start, t_exec, std::move(result));
     }
   }
   for (const std::string& name : *out_cols) {
@@ -523,14 +490,7 @@ RunResult ParallelExecutor::RunTopN(const Table* table,
   }
   result.table->set_row_count(sel.size());
   result.rows_emitted = sel.size();
-
-  const u64 t_end = CycleClock::Now();
-  result.stages.execute = t_exec - t0;
-  result.stages.postprocess = t_end - t_exec;
-  result.total_cycles = t_end - t0;
-  result.seconds =
-      static_cast<f64>(result.total_cycles) / CycleClock::FrequencyHz();
-  return result;
+  return EndRun(start, t_exec, std::move(result));
 }
 
 }  // namespace ma

@@ -10,7 +10,7 @@
 // pipeline over a MorselScanOperator leaf. The only shared, mutable
 // object during execution is the morsel queue (one mutex interaction
 // per ~64 vectors); kernel dispatch stays free of atomics and locks.
-// After a phase the per-thread profiles are merged into one report
+// After a query the per-thread profiles are merged into one report
 // (adapt/profile_merge.h), preserving per-thread winners — under
 // asymmetric load, threads legitimately converge to different flavors.
 //
@@ -139,10 +139,13 @@ class ParallelExecutor {
   /// (the usual dictionary-decode companions): each worker records its
   /// own first-seen value per group and the merge takes any worker's
   /// copy, which is only well-defined when all copies agree.
+  /// `label` names the workers' HashAggOperators, so their primitive
+  /// instances key like the serial plan's GroupBy ("" = "parallel/agg").
   struct AggPlan {
     std::vector<HashAggOperator::GroupKey> group_keys;
     std::vector<std::string> group_outputs;
     std::vector<HashAggOperator::AggSpec> aggs;
+    std::string label;
   };
   RunResult RunAgg(const Table* table,
                    std::vector<std::string> scan_columns,
@@ -164,28 +167,30 @@ class ParallelExecutor {
                     const std::vector<SortKey>& keys, size_t limit,
                     const StageHints& hints = StageHints());
 
-  /// Per-worker engines of the most recent run (index = worker id) —
-  /// each holds that thread's PrimitiveInstances and bandit state.
+  /// Per-worker engines of the most recent query (index = worker id) —
+  /// each holds that thread's PrimitiveInstances and bandit state for
+  /// every run of the query.
   const std::vector<std::unique_ptr<Engine>>& engines() const {
     return engines_;
   }
 
-  /// The query context governing runs — never null. Mirrors
-  /// Engine::set_context: null restores the private fallback, which
-  /// each run resets, so an ungoverned executor stays self-contained.
+  /// The query context governing runs — never null. Binding a query's
+  /// context builds num_threads() fresh worker engines, which every run
+  /// until the next set_context reuses, so the engines profile the whole
+  /// query. Null restores the private fallback: each run is then a
+  /// query of its own, with a reset context and fresh engines, so an
+  /// ungoverned executor stays self-contained.
   QueryContext* context() const { return context_; }
-  void set_context(QueryContext* ctx) {
-    context_ = ctx != nullptr ? ctx : &own_context_;
-  }
+  void set_context(QueryContext* ctx);
 
   /// Installs (or clears, with null) warm-start priors for subsequent
-  /// runs: worker engines are rebuilt from engine_config_ at the start
-  /// of every run, so the snapshot reaches them on the next Run.
+  /// queries: worker engines are built from engine_config_ at the start
+  /// of every query, so the snapshot reaches them at the next one.
   void set_warm_start(std::shared_ptr<const WarmStartSnapshot> ws) {
     engine_config_.warm_start = std::move(ws);
   }
 
-  /// Profiles of the most recent run, merged across workers by label.
+  /// Profiles of the most recent query, merged across workers by label.
   std::vector<InstanceProfile> MergedProfile() const;
 
  private:
@@ -196,13 +201,36 @@ class ParallelExecutor {
                             std::vector<std::string> scan_columns,
                             const PipelineFactory& factory, Table* sink,
                             const StageHints& hints);
+  /// Runs `factory`'s pipeline on each of the first `workers` engines
+  /// over morsels of `table` from `queue`, charges every non-empty batch
+  /// to `alloc_site` and hands it to `sink` with the index of the morsel
+  /// it came from. Errors land on `ctx`.
+  void DrainPipelines(const Table* table,
+                      const std::vector<std::string>& scan_columns,
+                      const PipelineFactory& factory, MorselQueue* queue,
+                      int workers, const char* alloc_site, QueryContext* ctx,
+                      const std::function<void(size_t, const Batch&)>& sink);
   /// The worker count actually running this stage: the hint clamped to
   /// the pool size.
   int ResolveWorkers(const StageHints& hints) const;
-  /// Fresh per-worker engines for a new run, all governed by the active
-  /// context (which is reset first when it is the private fallback).
-  /// Returns the context every phase of the run must poll.
-  QueryContext* ResetEngines();
+  /// Fresh per-worker engines governed by the active context.
+  void BuildEngines();
+  /// Where a run began: the context every phase of it must poll, its
+  /// start cycle, and the worker engines' primitive cycles so far.
+  struct RunStart {
+    QueryContext* ctx;
+    u64 t0;
+    u64 primitives;
+  };
+  /// Opens a run at fault site `site`. Outside a bound query the run is
+  /// a query of its own: the private context is reset and the engines
+  /// rebuilt first.
+  RunStart BeginRun(const char* site);
+  /// Stamps `r` with the context's status and the run's timings:
+  /// execute up to `t_exec`, postprocess after it, and the primitive
+  /// cycles the workers spent since `start`. A failed run loses its
+  /// table.
+  RunResult EndRun(const RunStart& start, u64 t_exec, RunResult r) const;
   /// Sum of primitive cycles across all worker engines.
   u64 TotalPrimitiveCycles() const;
 

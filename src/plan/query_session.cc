@@ -48,6 +48,7 @@ bool ColumnIsAscending(const Table* t, const std::string& name) {
 ParallelExecutor::AggPlan MakeAggPlan(const PlanNode* agg,
                                       const ScalarBindings& scalars) {
   ParallelExecutor::AggPlan plan;
+  plan.label = agg->label;
   plan.group_keys = agg->group_keys;
   plan.group_outputs = agg->group_outputs;
   for (const HashAggOperator::AggSpec& a : agg->aggs) {
@@ -192,7 +193,7 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
   }
   engine_.ResetProfile();  // sort/merge stages and the tail run here
   engine_.set_context(ctx);
-  parallel_->set_context(ctx);
+  parallel_->set_context(ctx);  // fresh worker engines for every stage
   // Whatever way this run ends, the next query must find pristine
   // executors: drop the context bindings on every exit path.
   struct ContextGuard {
@@ -228,15 +229,18 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
   };
 
   StageProfile acc;
+  auto account = [&acc](const RunResult& r) {
+    acc.execute += r.stages.execute;
+    acc.primitives += r.stages.primitives;
+    acc.postprocess += r.stages.postprocess;
+  };
   RunResult result;
   // Shared stage epilogue: fold the stage's timings into the run
   // profile, then either materialize the output into this stage's
   // intermediate (unless an Into-style runner filled it already) or
   // keep it as the final result.
   auto finish = [&](const Stage& stage, RunResult r) {
-    acc.execute += r.stages.execute;
-    acc.primitives += r.stages.primitives;
-    acc.postprocess += r.stages.postprocess;
+    account(r);
     if (!r.status.ok()) return;  // the post-stage status check unwinds
     if (stage.materialize) {
       if (mats[stage.id] == nullptr) {
@@ -257,15 +261,15 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
         !ctx->MaybeInjectFault("stage/" + std::to_string(stage.id)).ok()) {
       break;
     }
+    // Each worker of a fan-out stage compiles its own fragment tree.
+    auto factory = [&stage, &builds, &bindings](
+                       Engine* engine, OperatorPtr leaf) -> OperatorPtr {
+      return Compiler::CompileFragment(stage.root, stage.stop, engine,
+                                       std::move(leaf), builds, bindings);
+    };
     switch (stage.kind) {
       case Stage::Kind::kJoinBuild: {
         const auto [table, columns] = resolve(stage.input);
-        auto factory = [&stage, &builds, &bindings](
-                           Engine* engine, OperatorPtr leaf) -> OperatorPtr {
-          return Compiler::CompileFragment(stage.root, stage.stop, engine,
-                                           std::move(leaf), builds,
-                                           bindings);
-        };
         owned_builds.push_back(parallel_->BuildJoin(table, columns, factory,
                                                     stage.join->hash_spec));
         if (owned_builds.back() == nullptr) break;  // ctx holds the error
@@ -275,12 +279,6 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
       case Stage::Kind::kPipeline:
       case Stage::Kind::kAggregate: {
         const auto [table, columns] = resolve(stage.input);
-        auto factory = [&stage, &builds, &bindings](
-                           Engine* engine, OperatorPtr leaf) -> OperatorPtr {
-          return Compiler::CompileFragment(stage.root, stage.stop, engine,
-                                           std::move(leaf), builds,
-                                           bindings);
-        };
         RunResult r;
         if (stage.kind == Stage::Kind::kPipeline && stage.materialize) {
           // Per-morsel partials append straight into the intermediate.
@@ -370,20 +368,11 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
     if (ctx->ShouldStop()) break;
   }
 
-  if (!ctx->status().ok()) {
-    RunResult failed = FailedResult(ctx);
-    failed.stages = acc;
-    failed.total_cycles = CycleClock::Now() - t0;
-    failed.seconds = static_cast<f64>(failed.total_cycles) /
-                     CycleClock::FrequencyHz();
-    return failed;
-  }
-
   // Tail: sorts/limits (and post-breaker filters/projects) over the
   // final merged result. A leading Sort+Limit over a large merge goes
   // through the parallel TopN (byte-identical to the serial operator);
   // the rest runs serially.
-  if (!sp.tail.empty()) {
+  if (ctx->status().ok() && !sp.tail.empty()) {
     std::unique_ptr<Table> merged = std::move(result.table);
     size_t tail_start = 0;
     const PlanNode* head = sp.tail[0];
@@ -392,55 +381,47 @@ RunResult QuerySession::RunStaged(const StagePlan& sp, QueryContext* ctx) {
         merged->row_count() >= kParallelTopNMinRows) {
       RunResult topn = parallel_->RunTopN(merged.get(), {}, head->sort_keys,
                                           head->limit);
-      acc.execute += topn.stages.execute;
-      acc.primitives += topn.stages.primitives;
-      acc.postprocess += topn.stages.postprocess;
-      if (!topn.status.ok()) {
-        RunResult failed = FailedResult(ctx);
-        failed.stages = acc;
-        failed.total_cycles = CycleClock::Now() - t0;
-        failed.seconds = static_cast<f64>(failed.total_cycles) /
-                         CycleClock::FrequencyHz();
-        return failed;
-      }
+      account(topn);
       result.rows_emitted = topn.rows_emitted;
       merged = std::move(topn.table);
       tail_start = 1;
     }
-    if (tail_start < sp.tail.size()) {
+    if (ctx->status().ok() && tail_start < sp.tail.size()) {
       OperatorPtr op =
           std::make_unique<ScanOperator>(&engine_, merged.get());
       for (size_t i = tail_start; i < sp.tail.size(); ++i) {
         op = Compiler::CompileTailNode(sp.tail[i], &engine_, std::move(op),
                                        bindings);
       }
-      RunResult tail_result = engine_.Run(*op);
-      acc.execute += tail_result.stages.execute;
-      acc.primitives += tail_result.stages.primitives;
-      acc.postprocess += tail_result.stages.postprocess;
-      tail_result.stages = StageProfile{};
-      result = std::move(tail_result);
+      result = engine_.Run(*op);
+      account(result);
     } else {
       result.table = std::move(merged);
     }
   }
 
+  // Any stage or the tail may have failed; the context holds the first
+  // error.
+  if (!ctx->status().ok()) result = FailedResult(ctx);
   result.stages = acc;
   // Wall clock over every stage (join builds included).
   result.total_cycles = CycleClock::Now() - t0;
   result.seconds = static_cast<f64>(result.total_cycles) /
                    CycleClock::FrequencyHz();
-  result.status = ctx->status();  // the tail may have failed
-  result.reason = ReasonFromStatus(result.status);
-  if (!result.status.ok()) result.table.reset();
   return result;
 }
 
 std::vector<InstanceProfile> QuerySession::Profile() const {
-  if (last_run_parallel_ && parallel_ != nullptr) {
-    return parallel_->MergedProfile();
-  }
+  // A staged query ran on the worker engines and on the session engine
+  // (merge joins, serial sorts, the tail); report both.
   std::vector<const PrimitiveInstance*> instances;
+  if (last_run_parallel_ && parallel_ != nullptr) {
+    for (const auto& eng : parallel_->engines()) {
+      for (const auto& inst : eng->instances()) {
+        instances.push_back(inst.get());
+      }
+    }
+  }
   for (const auto& inst : engine_.instances()) {
     instances.push_back(inst.get());
   }

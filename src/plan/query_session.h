@@ -108,10 +108,10 @@ class QuerySession {
   /// steer flavor choice, never results (see adapt/warm_start.h).
   void set_warm_start(std::shared_ptr<const WarmStartSnapshot> priors);
 
-  /// Per-plan-site profile of the last run: merged across worker
-  /// threads after a parallel run (per-thread winners preserved, most
-  /// recent parallel stage), straight from the engine after a serial
-  /// run.
+  /// Per-plan-site profile of the last run: after a staged run, every
+  /// stage's worker engines merged across threads (per-thread winners
+  /// preserved) together with the session engine's merge joins, serial
+  /// sorts and tail; straight from the engine after a serial run.
   std::vector<InstanceProfile> Profile() const;
 
  private:

@@ -873,6 +873,64 @@ TEST(ParallelProfileTest, MergedProfileAggregatesAcrossWorkers) {
   EXPECT_FALSE(sel->MostUsedFlavor().empty());
 }
 
+TEST(ParallelProfileTest, BoundQueryKeepsOneEngineSetAcrossRuns) {
+  auto table = MakeNumbersTable(32 * 1024);
+  ParallelConfig pcfg;
+  pcfg.num_threads = 2;
+  pcfg.morsel_size = 2048;
+  ParallelExecutor exec{EngineConfig(), pcfg};
+  auto engine_ids = [&exec] {
+    std::vector<const Engine*> ids;
+    for (const auto& eng : exec.engines()) ids.push_back(eng.get());
+    return ids;
+  };
+  auto select_calls = [&exec] {
+    for (const InstanceProfile& p : exec.MergedProfile()) {
+      if (p.signature == "sel_lt_i64_col_i64_val") return p.calls;
+    }
+    return u64{0};
+  };
+  constexpr u64 kVectors = 32u * 1024 / kDefaultVectorSize;
+
+  // Binding a query builds the engines; every run of it reuses them.
+  QueryContext ctx;
+  exec.set_context(&ctx);
+  const std::vector<const Engine*> built = engine_ids();
+  ASSERT_EQ(built.size(), 2u);
+  const RunResult first =
+      exec.RunPipeline(table.get(), {"a", "x"}, SelectProjectFactory());
+  ParallelExecutor::AggPlan plan;
+  plan.group_keys = {{"a", 10}};
+  plan.group_outputs = {"a"};
+  plan.aggs.push_back(MakeAgg("sum", Col("y"), "sum_y"));
+  plan.label = "p/agg";
+  const RunResult agg =
+      exec.RunAgg(table.get(), {"a", "x"}, SelectProjectFactory(), plan);
+  ASSERT_TRUE(first.ok() && agg.ok());
+  EXPECT_EQ(engine_ids(), built);
+  EXPECT_EQ(select_calls(), 2 * kVectors);
+  // Each run reports only its own primitive cycles.
+  u64 total = 0;
+  for (const auto& eng : exec.engines()) total += eng->TotalPrimitiveCycles();
+  EXPECT_EQ(first.stages.primitives + agg.stages.primitives, total);
+  // The aggregate is keyed by the plan's label.
+  bool agg_keyed = false;
+  for (const InstanceProfile& p : exec.MergedProfile()) {
+    EXPECT_NE(p.label.rfind("parallel/", 0), 0u) << p.label;
+    agg_keyed = agg_keyed || p.label.rfind("p/agg/", 0) == 0;
+  }
+  EXPECT_TRUE(agg_keyed);
+
+  // Unbinding keeps the finished query's engines readable; an unbound
+  // run is a query of its own.
+  exec.set_context(nullptr);
+  EXPECT_EQ(engine_ids(), built);
+  EXPECT_EQ(select_calls(), 2 * kVectors);
+  ASSERT_TRUE(
+      exec.RunPipeline(table.get(), {"a", "x"}, SelectProjectFactory()).ok());
+  EXPECT_EQ(select_calls(), kVectors);
+}
+
 // ---------------------------------------------------------------------
 // Parallel TopN (ParallelExecutor::RunTopN and the staged sort+limit
 // path) against the serial SortOperator.

@@ -10,6 +10,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "knowledge/plan_cache.h"
 #include "plan/query_session.h"
@@ -361,6 +365,52 @@ TEST_F(StagedQueriesTest, Q14ZeroRevenueWindowYieldsOneZeroRow) {
   }
   lineitem.set_row_count(3);
   ExpectQ14ZeroRow(*data_, &lineitem, "Q14 zero-revenue window");
+}
+
+// --- staged profiles cover the whole query ---
+
+using ProfileKeys = std::set<std::pair<std::string, std::string>>;
+
+ProfileKeys KeysOf(const std::vector<ma::InstanceProfile>& profile) {
+  ProfileKeys keys;
+  for (const ma::InstanceProfile& p : profile) {
+    keys.insert({p.label, p.signature});
+  }
+  return keys;
+}
+
+TEST_F(StagedQueriesTest, ProfileKeysMatchSerial) {
+  // The staged compiler's CSE runs these plans' duplicated subtrees
+  // once, under the first subtree's label, so their staged keys are a
+  // subset of the serial ones. Every other plan must match exactly.
+  const std::set<int> cse_merged = {2, 11, 12, 15, 17, 22};
+  for (int q = 1; q <= kNumQueries; ++q) {
+    const plan::LogicalPlan plan = PlanForQuery(*data_, q);
+    plan::QuerySession serial;
+    ASSERT_TRUE(serial.Run(plan, plan::ExecMode::kSerial).ok()) << "Q" << q;
+    const ProfileKeys serial_keys = KeysOf(serial.Profile());
+    for (const int threads : {1, 4}) {
+      plan::SessionConfig cfg;
+      cfg.parallel.num_threads = threads;
+      cfg.parallel.morsel_size = 4096;
+      plan::QuerySession session{cfg};
+      ASSERT_TRUE(session.Run(plan, plan::ExecMode::kParallel).ok())
+          << "Q" << q;
+      ASSERT_TRUE(session.last_run_parallel()) << "Q" << q;
+      const ProfileKeys staged_keys = KeysOf(session.Profile());
+      const std::string what =
+          "Q" + std::to_string(q) + " at " + std::to_string(threads) +
+          " threads";
+      for (const auto& [label, signature] : staged_keys) {
+        EXPECT_EQ(serial_keys.count({label, signature}), 1u)
+            << what << ": staged-only key " << label << " " << signature;
+        EXPECT_NE(label.rfind("parallel/", 0), 0u) << what << ": " << label;
+      }
+      if (cse_merged.count(q) == 0) {
+        EXPECT_EQ(staged_keys, serial_keys) << what;
+      }
+    }
+  }
 }
 
 // --- serial timing covers the whole query ---
